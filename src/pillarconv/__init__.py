@@ -18,6 +18,7 @@ from .accel import (
     dense_baseline_cycles,
     gemm_cycles_sparse,
     generate_rules_pipelined,
+    mapping_stats_3x3,
     mapping_stats_strided,
     simulate_layer,
     simulate_network,
@@ -82,6 +83,7 @@ from .importance import (
     Aggregate,
     ImportanceConfig,
     Measure,
+    Scores,
     Selection,
     calibrate_threshold,
     pillar_importance,

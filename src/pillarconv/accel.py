@@ -35,7 +35,7 @@ import numpy as np
 
 from .conv import Kernel, Rulebook, _assemble
 from .errors import BadKernelShapeError, ShapeMismatchError
-from .tensor import Coord
+from .tensor import Coord, as_coords_array, sorted_unique
 from .util import ceil_div
 
 BYTES_PER_VALUE = 4
@@ -72,15 +72,6 @@ class MappingStats:
 ZERO_MAPPING = MappingStats(0, 0, 0, 0, 0, 0)
 
 
-def _coords_2d(coords) -> np.ndarray:
-    a = np.asarray(coords, dtype=np.int64)
-    if a.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise ShapeMismatchError(f"coords must be (n, 2), got {a.shape}")
-    return a
-
-
 def generate_rules_pipelined(
     height: int,
     width: int,
@@ -99,7 +90,7 @@ def generate_rules_pipelined(
     if (k.k_h, k.k_w, k.stride) != (3, 3, 1):
         raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")
     cfg = cfg or AcceleratorConfig()
-    pts = _coords_2d(coords)
+    pts = as_coords_array(coords)
     n = pts.shape[0]
     fl = np.asarray(flags, dtype=bool)
     if fl.shape != (n,):
@@ -170,6 +161,51 @@ def generate_rules_pipelined(
     return _assemble(triples, out_coords, height, width), stats
 
 
+def _band_work(
+    band: np.ndarray, col: np.ndarray, lat_align: int, lat_merged: int
+) -> tuple[int, int, int, int]:
+    """(bands, alignment ops, merged columns, cycles) of a stream of contributions.
+
+    Entry j of `band`/`col` is one contribution streamed into row band
+    band[j] at column col[j]. Alignment touches every contribution, the
+    merged-column stages every distinct (band, column) once; a band costs its
+    slowest stage, whose merged-column latency is `lat_merged`.
+    """
+    if band.size == 0:
+        return 0, 0, 0, 0
+    span = int(col.max()) + 1
+    key = band * span + col
+    key.sort()
+    n_contrib = _run_lengths(key // span)
+    n_merged = _run_lengths(sorted_unique(key) // span)
+    cycles = np.maximum(n_contrib * lat_align, n_merged * lat_merged).sum()
+    return int(n_contrib.size), int(band.size), int(n_merged.sum()), int(cycles)
+
+
+def _run_lengths(values: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal values in a sorted array."""
+    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return np.diff(edges, prepend=0, append=values.size)
+
+
+def mapping_stats_3x3(height: int, coords, cfg: AcceleratorConfig | None = None) -> MappingStats:
+    """Mapping-stage statistics of `generate_rules_pipelined`, without the rulebook.
+
+    Band R (0 <= R < height) streams the entries of input rows R-1, R, R+1.
+    Dilation flags change which outputs a band emits, never its stage work,
+    so they are not needed here.
+    """
+    cfg = cfg or AcceleratorConfig()
+    pts = as_coords_array(coords)
+    band = (pts[:, :1] + np.array([-1, 0, 1])).ravel()
+    keep = (band >= 0) & (band < height)
+    bands, align, merged, cycles = _band_work(
+        band[keep], np.repeat(pts[:, 1], 3)[keep], cfg.lat_align,
+        max(cfg.lat_merge, cfg.lat_dilate, cfg.lat_expand),
+    )
+    return MappingStats(bands, align, merged, merged, merged, cycles)
+
+
 def mapping_stats_strided(coords, kind: str, cfg: AcceleratorConfig | None = None) -> MappingStats:
     """Alignment and merge work for 2x2 stride-2 layers.
 
@@ -178,45 +214,26 @@ def mapping_stats_strided(coords, kind: str, cfg: AcceleratorConfig | None = Non
     column expanding to two output columns (counted as column dilation).
     """
     cfg = cfg or AcceleratorConfig()
-    pts = _coords_2d(coords)
-    if pts.shape[0] == 0:
-        return ZERO_MAPPING
+    pts = as_coords_array(coords)
     if kind == "downsample":
-        band_of = pts[:, 0] // 2
-        col_of = pts[:, 1] // 2
-        expand = False
-    elif kind == "deconv":
-        band_of = np.repeat(pts[:, 0], 2) * 2 + np.tile([0, 1], pts.shape[0])
-        col_of = np.repeat(pts[:, 1], 2)
-        expand = True
-    else:
-        raise ShapeMismatchError(f"unknown strided kind {kind!r}")
-    bands = np.unique(band_of)
-    align_total = merge_total = cycles = 0
-    for b in bands:
-        mask = band_of == b
-        n_contrib = int(mask.sum())
-        n_merged = int(np.unique(col_of[mask]).size)
-        align_total += n_contrib
-        merge_total += n_merged
-        stage_costs = [n_contrib * cfg.lat_align, n_merged * cfg.lat_merge]
-        if expand:
-            stage_costs.append(n_merged * cfg.lat_expand)
-        cycles += max(stage_costs)
-    expand_total = merge_total if expand else 0
-    return MappingStats(len(bands), align_total, merge_total, 0, expand_total, cycles)
+        bands, align, merged, cycles = _band_work(
+            pts[:, 0] // 2, pts[:, 1] // 2, cfg.lat_align, cfg.lat_merge
+        )
+        return MappingStats(bands, align, merged, 0, 0, cycles)
+    if kind == "deconv":
+        bands, align, merged, cycles = _band_work(
+            (pts[:, :1] * 2 + np.array([0, 1])).ravel(), np.repeat(pts[:, 1], 2),
+            cfg.lat_align, max(cfg.lat_merge, cfg.lat_expand),
+        )
+        return MappingStats(bands, align, merged, 0, merged, cycles)
+    raise ShapeMismatchError(f"unknown strided kind {kind!r}")
 
 
 def _mapping_stats_1x1(coords, cfg: AcceleratorConfig) -> MappingStats:
     # 1x1 layers stream each row band through alignment and merge untouched
-    pts = _coords_2d(coords)
-    if pts.shape[0] == 0:
-        return ZERO_MAPPING
-    _, counts = np.unique(pts[:, 0], return_counts=True)
-    per_band = [int(c) for c in counts]
-    cycles = sum(max(c * cfg.lat_align, c * cfg.lat_merge) for c in per_band)
-    total = int(sum(per_band))
-    return MappingStats(len(per_band), total, total, 0, 0, cycles)
+    pts = as_coords_array(coords)
+    bands, align, merged, cycles = _band_work(pts[:, 0], pts[:, 1], cfg.lat_align, cfg.lat_merge)
+    return MappingStats(bands, align, merged, 0, 0, cycles)
 
 
 # -- cycle accounting ----------------------------------------------------------
@@ -294,15 +311,10 @@ def simulate_layer(trace, cfg: AcceleratorConfig | None = None) -> LayerCycles:
         mapping = mapping_stats_strided(trace.in_coords, trace.kind, cfg)
     elif (trace.k_h, trace.k_w) == (1, 1):
         mapping = _mapping_stats_1x1(trace.in_coords, cfg)
+    elif (trace.k_h, trace.k_w) == (3, 3):
+        mapping = mapping_stats_3x3(trace.in_h, trace.in_coords, cfg)
     else:
-        probe = Kernel(
-            3, 3, 1, 1, 1,
-            np.zeros((9, 1, 1), dtype=np.float32),
-            np.zeros(1, dtype=np.float32),
-        )
-        _, mapping = generate_rules_pipelined(
-            trace.in_h, trace.in_w, trace.in_coords, trace.flags, probe, cfg
-        )
+        raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")
     gemm = gemm_cycles_sparse(trace.n_per_offset, trace.c_in, trace.c_out, cfg)
     n_in = trace.in_coords.shape[0]
     stall = stall_cycles(

@@ -266,7 +266,6 @@ class LayerTrace:
     in_coords: np.ndarray  # (n, 2) int64, row-major sorted
     flags: np.ndarray | None  # per-entry dilation flags, stride-1 sparse only
     n_per_offset: np.ndarray | None
-    n_gathered: int
     n_out: int
     flops: int
     dense_positions: int
@@ -304,12 +303,6 @@ def _layer_kernel(p: PlannedLayer, ordinal: int, weights_seed: int) -> Kernel:
     )
 
 
-def _coords_array(t: PillarTensor) -> np.ndarray:
-    if t.n_active == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(t.coords, dtype=np.int64)
-
-
 def _run_sparse_layer(
     t: PillarTensor, p: PlannedLayer, k: Kernel
 ) -> tuple[PillarTensor, Rulebook, Selection | None, np.ndarray | None]:
@@ -318,20 +311,20 @@ def _run_sparse_layer(
     selection: Selection | None = None
     flags: np.ndarray | None = None
     if p.kind == "downsample":
-        rb = build_rulebook_downsample2x2(t.coords, k, (p.in_h, p.in_w))
+        rb = build_rulebook_downsample2x2(t.rc, k, (p.in_h, p.in_w))
     elif p.kind == "deconv":
-        rb = build_rulebook_deconv2x2(t.coords, k, (p.out_h, p.out_w))
+        rb = build_rulebook_deconv2x2(t.rc, k, (p.out_h, p.out_w))
     elif mode is ConvMode.SUBMANIFOLD:
-        rb = build_rulebook_subm(t.coords, k, bounds=(p.in_h, p.in_w))
+        rb = build_rulebook_subm(t.rc, k, bounds=(p.in_h, p.in_w))
         flags = np.zeros(t.n_active, dtype=bool)
     elif mode is ConvMode.SPARSE_FULL:
-        rb = build_rulebook_sparse(t.coords, k, (p.in_h, p.in_w))
+        rb = build_rulebook_sparse(t.rc, k, (p.in_h, p.in_w))
         flags = np.ones(t.n_active, dtype=bool)
     elif mode is ConvMode.SELECTIVE:
         sel_spec = p.spec.selection
         scores = pillar_importance(t, sel_spec.importance)
         selection = sel_spec.select(scores)
-        rb = build_rulebook_selective(t.coords, selection.selected, k, (p.in_h, p.in_w))
+        rb = build_rulebook_selective(t.rc, selection.selected, k, (p.in_h, p.in_w))
         flags = selection_flags(t, selection)
     else:
         raise SpecMismatchError(f"mode {mode} cannot run as a sparse layer")
@@ -381,14 +374,12 @@ def run_network(
             p.spec.k_h, p.spec.k_w, p.spec.c_in, p.spec.c_out, p.spec.stride
         ):
             raise SpecMismatchError(f"kernel for {p.layer_id} does not match its spec")
-        in_coords = _coords_array(cur)
         selected = 0
         if p.spec.mode is ConvMode.DENSE:
             out = _run_dense_layer(cur, p, k)
             flops = p.dense_positions * (2 * p.dense_taps * k.c_in * k.c_out + k.c_out)
             n_per_offset = None
             flags = None
-            n_gathered = cur.n_active
             n_out = out.n_active
         else:
             out, rb, selection, flags = _run_sparse_layer(cur, p, k)
@@ -396,7 +387,6 @@ def run_network(
                 out = out.with_features(np.maximum(out.features, 0))
             flops = flops_of_rulebook(rb, k.c_in, k.c_out)
             n_per_offset = rb.tuples_per_offset(k.taps)
-            n_gathered = int(np.unique(rb.in_idx).size)
             n_out = rb.n_outputs
             if selection is not None:
                 selected = len(selection.selected)
@@ -410,8 +400,8 @@ def run_network(
         traces.append(
             LayerTrace(
                 p.layer_id, p.kind, p.spec.mode, p.in_h, p.in_w, p.out_h, p.out_w,
-                k.c_in, k.c_out, k.k_h, k.k_w, in_coords, flags,
-                n_per_offset, n_gathered, n_out, flops,
+                k.c_in, k.c_out, k.k_h, k.k_w, cur.rc, flags,
+                n_per_offset, n_out, flops,
                 p.dense_positions, p.dense_taps,
             )
         )

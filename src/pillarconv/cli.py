@@ -216,18 +216,19 @@ def _verify_case(t: PillarTensor, k: Kernel, t_percent: float, tol: float) -> tu
     scores = pillar_importance(t, ImportanceConfig())
     sel = select_topk(scores, t_percent)
     books = {
-        "subm": build_rulebook_subm(t.coords, k, bounds=bounds),
-        "sparse": build_rulebook_sparse(t.coords, k, bounds),
-        "selective": build_rulebook_selective(t.coords, sel.selected, k, bounds),
+        "subm": build_rulebook_subm(t.rc, k, bounds=bounds),
+        "sparse": build_rulebook_sparse(t.rc, k, bounds),
+        "selective": build_rulebook_selective(t.rc, sel.selected, k, bounds),
     }
     worst = 0.0
     for name, rb in books.items():
         out = execute_rulebook(rb, t, k)
-        want = np.stack([dense.data[r, c] for (r, c) in out.coords]) if out.n_active else np.zeros((0, k.c_out))
-        err = float(np.max(np.abs(out.features - want))) if out.n_active else 0.0
-        worst = max(worst, err)
-        if err > tol:
+        want = dense.data[out.rc[:, 0], out.rc[:, 1]]
+        err = float(np.max(np.abs(out.features - want), initial=0.0))
+        # NaN anywhere in the output or the oracle makes err NaN, which fails here
+        if not err <= tol:
             return False, f"{name} max|diff|={fmt_float(err)}"
+        worst = max(worst, err)
     return True, f"max|diff|={fmt_float(worst)}"
 
 

@@ -13,6 +13,11 @@ builders here differ only in which output set they commit to:
   neighborhoods of a selected subset. With nothing selected this is the
   submanifold rulebook, with everything selected it is the full sparse one.
 
+All five builders are thin entry points over one vectorised kernel-map join,
+`_kernel_map`, on (n, 2) int64 coordinates and linearised keys. They accept
+(n, 2) arrays or any sequence of (row, col) pairs; `Rulebook.output_coords`
+is a tuple view of `output_rc`.
+
 Offset conventions. For odd stride-1 kernels (the only stride-1 form) weight
 index w enumerates centered offsets (dr, dc) in row-major order, and a tuple
 pairs input i with output o exactly when coord(o) - coord(i) = offset(w).
@@ -43,12 +48,21 @@ import numpy as np
 from .errors import (
     BadKernelShapeError,
     FormatError,
-    SelectionNotSubsetError,
     ShapeMismatchError,
     StrideUnsupportedError,
     UnsortedInputError,
 )
-from .tensor import FEATURE_DTYPE, Coord, DenseGrid, PillarTensor
+from .tensor import (
+    FEATURE_DTYPE,
+    Coord,
+    DenseGrid,
+    PillarTensor,
+    as_coords_array,
+    as_tuples,
+    coords_of_keys,
+    selection_mask,
+    sorted_unique,
+)
 from .util import fmt_float
 
 
@@ -116,6 +130,11 @@ class Kernel:
             )
         return ((0, 0), (0, 1), (1, 0), (1, 1))
 
+    @cached_property
+    def offset_array(self) -> np.ndarray:
+        """(2, taps) int64: row offsets, then column offsets, in weight order."""
+        return np.array(self.offsets, dtype=np.int64).T.copy()
+
     @staticmethod
     def seeded(
         k_h: int,
@@ -154,14 +173,16 @@ class Rulebook:
     """Gather-multiply-scatter plan for one sparse convolution.
 
     Parallel arrays of (input_index, weight_index, output_index), sorted by
-    (output, weight, input). `output_coords` is the sorted unique output set;
-    indices refer into it and into the input tensor's entry order.
+    (output, weight, input); each (output, weight) pair holds at most one
+    tuple. `output_rc` is the sorted unique (n, 2) output set; indices refer
+    into it and into the input tensor's entry order. `output_coords` is its
+    tuple view.
     """
 
     in_idx: np.ndarray
     w_idx: np.ndarray
     out_idx: np.ndarray
-    output_coords: tuple[Coord, ...]
+    output_rc: np.ndarray
     out_height: int
     out_width: int
 
@@ -173,6 +194,9 @@ class Rulebook:
         n = self.in_idx.size
         if self.w_idx.size != n or self.out_idx.size != n:
             raise ShapeMismatchError("rulebook arrays must have equal length")
+        rc = as_coords_array(self.output_rc).view()
+        rc.setflags(write=False)
+        object.__setattr__(self, "output_rc", rc)
 
     @property
     def n_tuples(self) -> int:
@@ -180,7 +204,11 @@ class Rulebook:
 
     @property
     def n_outputs(self) -> int:
-        return len(self.output_coords)
+        return self.output_rc.shape[0]
+
+    @cached_property
+    def output_coords(self) -> tuple[Coord, ...]:
+        return as_tuples(self.output_rc)
 
     def tuple_set(self) -> set[tuple[int, int, int]]:
         return set(zip(self.in_idx.tolist(), self.w_idx.tolist(), self.out_idx.tolist()))
@@ -191,7 +219,7 @@ class Rulebook:
     def same_tuples(self, other: "Rulebook") -> bool:
         """Set equality of tuples (canonical sort makes it array equality)."""
         return (
-            self.output_coords == other.output_coords
+            np.array_equal(self.output_rc, other.output_rc)
             and np.array_equal(self.in_idx, other.in_idx)
             and np.array_equal(self.w_idx, other.w_idx)
             and np.array_equal(self.out_idx, other.out_idx)
@@ -204,20 +232,81 @@ def _assemble(
     out_h: int,
     out_w: int,
 ) -> Rulebook:
-    """Sort tuples canonically and freeze them into a Rulebook."""
-    n = len(triples)
-    in_idx = np.fromiter((t[0] for t in triples), dtype=np.int64, count=n)
-    w_idx = np.fromiter((t[1] for t in triples), dtype=np.int64, count=n)
-    out_idx = np.fromiter((t[2] for t in triples), dtype=np.int64, count=n)
-    if n:
-        order = np.lexsort((in_idx, w_idx, out_idx))
-        in_idx, w_idx, out_idx = in_idx[order], w_idx[order], out_idx[order]
-    return Rulebook(in_idx, w_idx, out_idx, tuple(out_coords), out_h, out_w)
+    """Sort (input, weight, output) tuples canonically and freeze them into a Rulebook."""
+    t = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    order = np.lexsort((t[:, 0], t[:, 1], t[:, 2]))
+    t = t[order]
+    return Rulebook(t[:, 0], t[:, 1], t[:, 2], out_coords, out_h, out_w)
 
 
 def _require_stride1(k: Kernel, op: str) -> None:
     if k.stride != 1:
         raise StrideUnsupportedError(f"{op} requires stride 1, got {k.stride}")
+
+
+def _require_sorted(rc: np.ndarray, width: int, op: str) -> None:
+    keys = rc[:, 0] * width + rc[:, 1]
+    if (keys[1:] <= keys[:-1]).any():
+        raise UnsortedInputError(f"{op} builder needs row-major sorted coords")
+
+
+def _kernel_map(
+    rc: np.ndarray,
+    k: Kernel,
+    out_shape: tuple[int, int],
+    base: np.ndarray | None = None,
+    dilate: np.ndarray | None = None,
+    transposed: bool = False,
+) -> Rulebook:
+    """The join every builder runs: input coords x kernel offsets -> output set.
+
+    Without `base` the outputs are every in-grid target of every input (full
+    sparse and strided forms). With `base`, a sorted unique (m, 2) output
+    set, the outputs are `base` united with the targets of the inputs the
+    mask `dilate` marks (none if omitted); targets off the output set are
+    dropped. Every (input, offset) pair whose target is an output becomes a
+    tuple.
+
+    Targets of stride-1 kernels are (r + dr, c + dc); of the transposed 2x2
+    form (2r + dr, 2c + dc); of the downsampling 2x2 form ((r - dr) / 2,
+    (c - dc) / 2) when both divide, i.e. the offset of the input's parity.
+    All n x taps targets are formed in one broadcast, bounds-checked per axis
+    so no key wraps into the next row, and linearised on the output grid.
+    Output keys are sorted, targets are matched to them by binary search, and
+    tuples are sorted canonically by the single key output * taps + weight,
+    which is unique because an output and an offset fix the input.
+    """
+    out_h, out_w = out_shape
+    dr, dc = k.offset_array
+    r, c = rc[:, :1], rc[:, 1:]
+    if k.stride == 1:
+        tr, tc = r + dr, c + dc
+    elif transposed:
+        tr, tc = 2 * r + dr, 2 * c + dc
+    else:
+        sr, sc = r - dr, c - dc
+        tr, tc = sr >> 1, sc >> 1
+    # negative values wrap to huge unsigned ones, so one compare checks both ends
+    ok = (tr.view(np.uint64) < out_h) & (tc.view(np.uint64) < out_w)
+    if k.stride == 2 and not transposed:
+        ok &= ((sr | sc) & 1) == 0
+    i, w = ok.nonzero()
+    keys = (tr * out_w + tc)[i, w]
+    if base is None:
+        out_keys = sorted_unique(keys)
+        o = out_keys.searchsorted(keys)
+        out_rc = coords_of_keys(out_keys, out_w)
+    else:
+        out_keys = base[:, 0] * out_w + base[:, 1]
+        out_rc = base
+        if dilate is not None:
+            out_keys = sorted_unique(np.concatenate((out_keys, keys[dilate[i]])))
+            out_rc = coords_of_keys(out_keys, out_w)
+        o = out_keys.searchsorted(keys)
+        hit = out_keys.take(o, mode="clip") == keys
+        i, w, o = i[hit], w[hit], o[hit]
+    order = (o * k.taps + w).argsort()
+    return Rulebook(i[order], w[order], o[order], out_rc, out_h, out_w)
 
 
 def build_rulebook_subm(
@@ -230,21 +319,11 @@ def build_rulebook_subm(
     only record the output grid dims (inferred from the coords if omitted).
     """
     _require_stride1(k, "submanifold convolution")
-    if any(a >= b for a, b in zip(active, active[1:])):
-        raise UnsortedInputError("submanifold builder needs row-major sorted coords")
-    index = {c: i for i, c in enumerate(active)}
-    triples: list[tuple[int, int, int]] = []
-    for w, (dr, dc) in enumerate(k.offsets):
-        for i, (r, c) in enumerate(active):
-            o = index.get((r + dr, c + dc))
-            if o is not None:
-                triples.append((i, w, o))
+    rc = as_coords_array(active)
     if bounds is None:
-        bounds = (
-            max((r for r, _ in active), default=0) + 1,
-            max((c for _, c in active), default=0) + 1,
-        )
-    return _assemble(triples, list(active), bounds[0], bounds[1])
+        bounds = (int(rc[:, 0].max(initial=0)) + 1, int(rc[:, 1].max(initial=0)) + 1)
+    _require_sorted(rc, bounds[1], "submanifold")
+    return _kernel_map(rc, k, bounds, base=rc)
 
 
 def build_rulebook_sparse(
@@ -256,24 +335,7 @@ def build_rulebook_sparse(
     outside `out_bounds` are dropped. Stride 2 maps input (r, c) to output
     ((r - dr) / 2, (c - dc) / 2) for the offset of matching parity.
     """
-    out_h, out_w = out_bounds
-    reach: list[tuple[Coord, int, int]] = []  # (out coord, w, input index)
-    if k.stride == 1:
-        for w, (dr, dc) in enumerate(k.offsets):
-            for i, (r, c) in enumerate(active):
-                orow, ocol = r + dr, c + dc
-                if 0 <= orow < out_h and 0 <= ocol < out_w:
-                    reach.append(((orow, ocol), w, i))
-    else:
-        for i, (r, c) in enumerate(active):
-            orow, ocol = r // 2, c // 2
-            if orow < out_h and ocol < out_w:
-                w = (r % 2) * 2 + (c % 2)
-                reach.append(((orow, ocol), w, i))
-    out_coords = sorted({rc for rc, _, _ in reach})
-    out_index = {rc: j for j, rc in enumerate(out_coords)}
-    triples = [(i, w, out_index[rc]) for rc, w, i in reach]
-    return _assemble(triples, out_coords, out_h, out_w)
+    return _kernel_map(as_coords_array(active), k, out_bounds)
 
 
 def build_rulebook_downsample2x2(
@@ -287,8 +349,7 @@ def build_rulebook_downsample2x2(
     if (k.k_h, k.k_w, k.stride) != (2, 2, 2):
         raise BadKernelShapeError("downsample needs a 2x2 stride-2 kernel")
     h, w = in_bounds
-    out_h, out_w = (h + 1) // 2, (w + 1) // 2
-    return build_rulebook_sparse(active, k, (out_h, out_w))
+    return _kernel_map(as_coords_array(active), k, ((h + 1) // 2, (w + 1) // 2))
 
 
 def build_rulebook_deconv2x2(
@@ -301,17 +362,7 @@ def build_rulebook_deconv2x2(
     """
     if (k.k_h, k.k_w, k.stride) != (2, 2, 2):
         raise BadKernelShapeError("deconv needs a 2x2 stride-2 kernel")
-    out_h, out_w = out_bounds
-    reach: list[tuple[Coord, int, int]] = []
-    for w, (dr, dc) in enumerate(k.offsets):
-        for i, (r, c) in enumerate(active):
-            orow, ocol = 2 * r + dr, 2 * c + dc
-            if orow < out_h and ocol < out_w:
-                reach.append(((orow, ocol), w, i))
-    out_coords = sorted({rc for rc, _, _ in reach})
-    out_index = {rc: j for j, rc in enumerate(out_coords)}
-    triples = [(i, w, out_index[rc]) for rc, w, i in reach]
-    return _assemble(triples, out_coords, out_h, out_w)
+    return _kernel_map(as_coords_array(active), k, out_bounds, transposed=True)
 
 
 def build_rulebook_selective(
@@ -328,27 +379,10 @@ def build_rulebook_selective(
     contributions from non-selected inputs.
     """
     _require_stride1(k, "selective dilation")
-    out_h, out_w = out_bounds
-    active_set = set(active)
-    sel = set(selected)
-    extra = sel - active_set
-    if extra:
-        raise SelectionNotSubsetError(f"selected coords not active: {sorted(extra)[:4]}")
-    out_set = set(active)
-    for r, c in sel:
-        for dr, dc in k.offsets:
-            orow, ocol = r + dr, c + dc
-            if 0 <= orow < out_h and 0 <= ocol < out_w:
-                out_set.add((orow, ocol))
-    out_coords = sorted(out_set)
-    out_index = {rc: j for j, rc in enumerate(out_coords)}
-    triples: list[tuple[int, int, int]] = []
-    for w, (dr, dc) in enumerate(k.offsets):
-        for i, (r, c) in enumerate(active):
-            o = out_index.get((r + dr, c + dc))
-            if o is not None:
-                triples.append((i, w, o))
-    return _assemble(triples, out_coords, out_h, out_w)
+    rc = as_coords_array(active)
+    _require_sorted(rc, out_bounds[1], "selective")
+    flags = selection_mask(rc, selected)
+    return _kernel_map(rc, k, out_bounds, base=rc, dilate=flags if flags.any() else None)
 
 
 # -- execution ---------------------------------------------------------------
@@ -370,19 +404,20 @@ def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
     acc = np.zeros((rb.n_outputs, k.c_out), dtype=np.float64)
     feats = t.features.astype(np.float64)
     weights = k.weights.astype(np.float64)
-    # per-offset passes in ascending w preserve the canonical (w, input)
-    # accumulation order for every output
-    for w in range(k.taps):
-        mask = rb.w_idx == w
-        if not mask.any():
-            continue
-        contrib = feats[rb.in_idx[mask]] @ weights[w]
-        np.add.at(acc, rb.out_idx[mask], contrib)
+    # One segment per offset, in canonical order within it. An offset adds at
+    # most once to any output, so a plain fancy-index add equals np.add.at,
+    # and ascending offsets keep the canonical accumulation order per output.
+    by_offset = np.argsort(rb.w_idx.astype(np.min_scalar_type(k.taps)), kind="stable")
+    ends = np.cumsum(np.bincount(rb.w_idx, minlength=k.taps))
+    start = 0
+    for w, end in enumerate(ends.tolist()):
+        seg = by_offset[start:end]
+        start = end
+        if seg.size:
+            acc[rb.out_idx[seg]] += feats[rb.in_idx[seg]] @ weights[w]
     acc += k.bias.astype(np.float64)
     out = acc.astype(FEATURE_DTYPE)
-    if rb.n_outputs == 0:
-        out = np.zeros((0, k.c_out), dtype=FEATURE_DTYPE)
-    return PillarTensor(rb.out_height, rb.out_width, k.c_out, rb.output_coords, out)
+    return PillarTensor(rb.out_height, rb.out_width, k.c_out, rb.output_rc, out)
 
 
 def flops_of_rulebook(rb: Rulebook, c_in: int, c_out: int) -> int:

@@ -19,14 +19,17 @@ average.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCalibrationPoolError, SelectionNotSubsetError
-from .tensor import Coord, PillarTensor
+from .conv import Kernel, build_rulebook_subm
+from .errors import EmptyCalibrationPoolError
+from .tensor import Coord, PillarTensor, as_coords_array, as_tuples, selection_mask
 
 
 class Measure(str, Enum):
@@ -55,34 +58,72 @@ class Selection:
     threshold: float | None = None
 
 
-_NEIGHBORHOOD = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+_POOL_KERNEL = Kernel(3, 3, 1, 1, 1, np.zeros((9, 1, 1)), np.zeros(1))
 
 
-def pillar_importance(t: PillarTensor, cfg: ImportanceConfig | None = None) -> dict[Coord, float]:
-    """Score every active pillar. Returns a coord -> score map."""
+class Scores(Mapping):
+    """Per-pillar scores: a read-only coord -> score mapping backed by arrays.
+
+    `rc` holds the (n, 2) coordinates and `score` the float64 scores in the
+    same order. Selection reads the arrays; the dict view is built only
+    when a caller looks scores up by coordinate.
+    """
+
+    def __init__(self, rc: np.ndarray, score: np.ndarray) -> None:
+        self.rc = rc
+        self.score = score
+
+    @cached_property
+    def _by_coord(self) -> dict[Coord, float]:
+        return dict(zip(as_tuples(self.rc), self.score.tolist()))
+
+    def __getitem__(self, coord: Coord) -> float:
+        return self._by_coord[coord]
+
+    def __iter__(self):
+        return iter(self._by_coord)
+
+    def __len__(self) -> int:
+        return self.rc.shape[0]
+
+
+def _score_arrays(scores: Mapping[Coord, float]) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(scores, Scores):
+        return scores.rc, scores.score
+    return (
+        as_coords_array(list(scores)),
+        np.fromiter(scores.values(), dtype=np.float64, count=len(scores)),
+    )
+
+
+def pillar_importance(t: PillarTensor, cfg: ImportanceConfig | None = None) -> Scores:
+    """Score every active pillar. Returns a coord -> score map in entry order."""
     cfg = cfg or ImportanceConfig()
-    if t.n_active == 0:
-        return {}
     absf = np.abs(t.features.astype(np.float64))
     if cfg.measure is Measure.MEAN_ABS:
         base = absf.mean(axis=1)
     else:
         base = absf.max(axis=1)
     if cfg.aggregate is Aggregate.IDENTITY:
-        return {c: float(base[i]) for i, c in enumerate(t.coords)}
-    index = t.index_of
-    out: dict[Coord, float] = {}
-    for i, (r, c) in enumerate(t.coords):
-        acc: list[float] = []
-        for dr, dc in _NEIGHBORHOOD:
-            j = index.get((r + dr, c + dc))
-            if j is not None:
-                acc.append(float(base[j]))
-        if cfg.aggregate is Aggregate.AVG_POOL:
-            out[(r, c)] = sum(acc) / len(acc)
-        else:
-            out[(r, c)] = max(acc)
-    return out
+        return Scores(t.rc, base)
+    # the submanifold book of a 3x3 kernel pairs each pillar i with every
+    # active neighbour j = i - offset(w); descending w visits the neighbours
+    # in row-major order, the order the pooled sum accumulates in
+    rb = build_rulebook_subm(t.rc, _POOL_KERNEL, bounds=(t.height, t.width))
+    neighbour = np.full((t.n_active, 9), -1)
+    neighbour[rb.out_idx, rb.w_idx] = rb.in_idx
+    total = np.zeros(t.n_active)
+    count = np.zeros(t.n_active)
+    top = np.full(t.n_active, -np.inf)
+    for w in reversed(range(9)):
+        j = neighbour[:, w]
+        hit = j >= 0
+        value = np.where(hit, base[j], 0.0)
+        total += value
+        count += hit
+        top = np.where(hit, np.maximum(top, value), top)
+    pooled = total / count if cfg.aggregate is Aggregate.AVG_POOL else top
+    return Scores(t.rc, pooled)
 
 
 def topk_count(n: int, t_percent: float) -> int:
@@ -96,16 +137,16 @@ def topk_count(n: int, t_percent: float) -> int:
 
 def select_topk(scores: Mapping[Coord, float], t_percent: float) -> Selection:
     """Select the top ceil(t% * n) scores, ties broken by (row, col) ascending."""
-    k = topk_count(len(scores), t_percent)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Selection(frozenset(c for c, _ in ranked[:k]), topk_percent=t_percent)
+    rc, score = _score_arrays(scores)
+    k = topk_count(score.size, t_percent)
+    ranked = np.lexsort((rc[:, 1], rc[:, 0], -score))
+    return Selection(frozenset(as_tuples(rc[ranked[:k]])), topk_percent=t_percent)
 
 
 def select_threshold(scores: Mapping[Coord, float], theta: float) -> Selection:
     """Select every pillar scoring at or above theta."""
-    return Selection(
-        frozenset(c for c, s in scores.items() if s >= theta), threshold=theta
-    )
+    rc, score = _score_arrays(scores)
+    return Selection(frozenset(as_tuples(rc[score >= theta])), threshold=theta)
 
 
 def calibrate_threshold(score_sets: Sequence[Sequence[float]], t_percent: float) -> float:
@@ -133,15 +174,10 @@ def prune_by_importance(
 ) -> PillarTensor:
     """Keep only the top keep_percent of active pillars by importance."""
     sel = select_topk(pillar_importance(t, cfg), keep_percent)
-    keep = [i for i, c in enumerate(t.coords) if c in sel.selected]
-    coords = tuple(t.coords[i] for i in keep)
-    feats = t.features[keep] if keep else t.features[:0]
-    return PillarTensor(t.height, t.width, t.channels, coords, feats)
+    keep = selection_mask(t.rc, sel.selected)
+    return PillarTensor(t.height, t.width, t.channels, t.rc[keep], t.features[keep])
 
 
 def selection_flags(t: PillarTensor, selection: Selection) -> np.ndarray:
     """Per-entry boolean flags for a selection; raises if not a subset."""
-    extra = selection.selected - set(t.coords)
-    if extra:
-        raise SelectionNotSubsetError(f"selected coords not active: {sorted(extra)[:4]}")
-    return np.array([c in selection.selected for c in t.coords], dtype=bool)
+    return selection_mask(t.rc, selection.selected)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DensityOverflowError, SpecMismatchError
-from .tensor import FEATURE_DTYPE, PillarTensor
+from .tensor import FEATURE_DTYPE, PillarTensor, coords_of_keys
 
 PATTERNS = ("uniform", "clustered", "ring-arcs")
 FEATURE_KINDS = ("gaussian", "constant")
@@ -140,11 +140,10 @@ def generate(spec: SceneSpec) -> PillarTensor:
         feats = rng.standard_normal((n, spec.channels)).astype(FEATURE_DTYPE)
     else:
         feats = np.full((n, spec.channels), spec.constant_value, dtype=FEATURE_DTYPE)
-    order = np.argsort(np.asarray(cells, dtype=np.int64), kind="stable")
-    coords = tuple(
-        (int(cells[i]) // spec.width, int(cells[i]) % spec.width) for i in order
-    )
-    return PillarTensor(spec.height, spec.width, spec.channels, coords, feats[order])
+    keys = np.asarray(cells, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    rc = coords_of_keys(keys[order], spec.width)
+    return PillarTensor(spec.height, spec.width, spec.channels, rc, feats[order])
 
 
 SCENE_PRESETS = {

@@ -1,13 +1,19 @@
 """Sparse pillar feature maps on a 2D grid.
 
-A pillar map stores only its active cells: a sorted list of (row, col)
-coordinates, each paired with a fixed-length feature vector. Activeness is
-membership, not value: an entry whose features are all zero is still active,
-and stays active through elementwise ops. The dense mirror of a map is a
-row-major (height, width, channels) array with zeros at inactive cells.
+A pillar map stores only its active cells: an (n, 2) int64 array of
+(row, col) coordinates, each paired with a fixed-length feature vector.
+Activeness is membership, not value: an entry whose features are all zero is
+still active, and stays active through elementwise ops. The dense mirror of a
+map is a row-major (height, width, channels) array with zeros at inactive
+cells.
 
 Entries are kept sorted by (row, col) ascending and coordinates are unique.
-Constructors validate both properties; `from_entries` sorts for you.
+Constructors validate both properties; `from_entries` sorts for you. Every
+set operation works on linearised keys `row * width + col`: on one grid, key
+order is row-major order, so sorted unique keys are sorted unique
+coordinates. `PillarTensor.coords` is a read-only tuple-of-tuples view of the
+array, built on first use for callers that want Python coordinates; the
+convolution path never builds it.
 
 Text form (PLT v1)::
 
@@ -33,6 +39,7 @@ from .errors import (
     DuplicateCoordError,
     FormatError,
     OutOfBoundsError,
+    SelectionNotSubsetError,
     ShapeMismatchError,
 )
 from .util import fmt_float
@@ -45,6 +52,58 @@ FEATURE_DTYPE = np.float32
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def as_coords_array(coords) -> np.ndarray:
+    """Any (row, col) collection as an (n, 2) int64 array; arrays pass through."""
+    if not (isinstance(coords, np.ndarray) and coords.dtype == np.int64 and coords.ndim == 2):
+        if not isinstance(coords, (np.ndarray, list, tuple)):
+            coords = list(coords)  # sets, generators, mapping keys
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.size == 0:
+            return np.zeros((0, 2), dtype=np.int64)
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise ShapeMismatchError(f"coords must be (n, 2), got {coords.shape}")
+    return coords
+
+
+def coords_of_keys(keys: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of the linearisation: keys on a `width`-column grid to (n, 2) rows/cols."""
+    rc = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, width, out=(rc[:, 0], rc[:, 1]))
+    return rc
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique by sorting: on large key sets far faster than numpy's hashing path."""
+    s = keys.copy()
+    s.sort()
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def as_tuples(rc: np.ndarray) -> tuple[Coord, ...]:
+    return tuple(map(tuple, rc.tolist()))
+
+
+def selection_mask(rc: np.ndarray, selected) -> np.ndarray:
+    """Per-entry flags marking which rows of `rc` are in `selected`.
+
+    Raises SelectionNotSubsetError if `selected` names a coordinate not in `rc`.
+    """
+    sel = as_coords_array(selected)
+    if sel.size == 0:
+        return np.zeros(rc.shape[0], dtype=bool)
+    # keys on a 2**32-column grid: no two coordinates of any real grid share one
+    want = sorted_unique((sel[:, 0] << 32) + sel[:, 1])
+    keys = (rc[:, 0] << 32) + rc[:, 1]
+    flags = want.take(want.searchsorted(keys), mode="clip") == keys
+    if np.count_nonzero(flags) != want.size:
+        extra = set(as_tuples(sel)) - set(as_tuples(rc))
+        raise SelectionNotSubsetError(f"selected coords not active: {sorted(extra)[:4]}")
+    return flags
 
 
 @dataclass(frozen=True)
@@ -74,34 +133,51 @@ class DenseGrid:
 
 @dataclass(frozen=True)
 class PillarTensor:
-    """Sparse pillar map: sorted unique coords plus an (n, channels) feature array."""
+    """Sparse pillar map: sorted unique (n, 2) coords plus an (n, channels) feature array.
+
+    `rc` accepts any (row, col) collection and is stored as a read-only
+    int64 array.
+    """
 
     height: int
     width: int
     channels: int
-    coords: tuple[Coord, ...]
+    rc: np.ndarray
     features: np.ndarray
 
     def __post_init__(self) -> None:
         if self.height <= 0 or self.width <= 0 or self.channels <= 0:
             raise ShapeMismatchError("height, width and channels must be positive")
+        rc = as_coords_array(self.rc).view()
+        rc.setflags(write=False)
         feats = np.ascontiguousarray(self.features, dtype=FEATURE_DTYPE)
-        if feats.shape != (len(self.coords), self.channels):
+        if feats.shape != (rc.shape[0], self.channels):
             raise BadVectorLengthError(
                 f"feature array shape {feats.shape} does not match "
-                f"{len(self.coords)} entries x {self.channels} channels"
+                f"{rc.shape[0]} entries x {self.channels} channels"
             )
-        validate_coords(self.height, self.width, self.coords)
+        validate_coords(self.height, self.width, rc)
+        object.__setattr__(self, "rc", rc)
         object.__setattr__(self, "features", _freeze(feats))
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def n_active(self) -> int:
-        return len(self.coords)
+        return self.rc.shape[0]
 
     def density(self) -> float:
         return self.n_active / (self.height * self.width)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Linearised coordinates row * width + col, ascending."""
+        return _freeze(self.rc[:, 0] * self.width + self.rc[:, 1])
+
+    @cached_property
+    def coords(self) -> tuple[Coord, ...]:
+        """The coordinates as a tuple of (row, col) tuples."""
+        return as_tuples(self.rc)
 
     @cached_property
     def index_of(self) -> dict[Coord, int]:
@@ -114,32 +190,51 @@ class PillarTensor:
 
     def with_features(self, features: np.ndarray) -> "PillarTensor":
         """Same active set, new feature values (shape must match)."""
-        return PillarTensor(self.height, self.width, self.channels, self.coords, features)
+        return PillarTensor(self.height, self.width, self.channels, self.rc, features)
 
     # -- dense conversion ---------------------------------------------------
 
     def to_dense(self) -> DenseGrid:
         grid = np.zeros((self.height, self.width, self.channels), dtype=FEATURE_DTYPE)
-        if self.coords:
-            rows = np.fromiter((c[0] for c in self.coords), dtype=np.int64, count=self.n_active)
-            cols = np.fromiter((c[1] for c in self.coords), dtype=np.int64, count=self.n_active)
-            grid[rows, cols] = self.features
+        grid[self.rc[:, 0], self.rc[:, 1]] = self.features
         return DenseGrid(grid)
 
 
-def validate_coords(height: int, width: int, coords: Sequence[Coord]) -> None:
-    """Assert coords are in bounds, unique, and sorted row-major. O(n)."""
-    prev: Coord | None = None
-    for c in coords:
-        r, k = c
-        if not (0 <= r < height and 0 <= k < width):
-            raise OutOfBoundsError(f"coordinate {c} outside {height}x{width} grid")
-        if prev is not None:
-            if c == prev:
-                raise DuplicateCoordError(f"duplicate coordinate {c}")
-            if c < prev:
-                raise ShapeMismatchError(f"coordinates not sorted: {c} after {prev}")
-        prev = c
+def _first_fault(rc: np.ndarray, height: int, width: int) -> tuple[int, str] | None:
+    """(index, "outside" | "duplicate" | "unsorted") of the first bad entry, or None.
+
+    An entry is bad if it lies off the grid or does not step past the one
+    before it in row-major order. Every key before the first fault is in
+    bounds, so comparing keys there compares coordinates.
+    """
+    rows, cols = rc[:, 0], rc[:, 1]
+    # negative values wrap to huge unsigned ones, so one compare checks both ends
+    outside = (rows.view(np.uint64) >= height) | (cols.view(np.uint64) >= width)
+    steps = np.diff(rows * width + cols)
+    bad = outside.copy()
+    bad[1:] |= steps <= 0
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return i, "outside" if outside[i] else "duplicate" if steps[i - 1] == 0 else "unsorted"
+
+
+def validate_coords(height: int, width: int, coords) -> None:
+    """Assert coords are in bounds, unique, and sorted row-major. O(n).
+
+    Reports the first faulty entry in order, as a scan would.
+    """
+    rc = as_coords_array(coords)
+    fault = _first_fault(rc, height, width)
+    if fault is None:
+        return
+    i, kind = fault
+    c = tuple(rc[i].tolist())
+    if kind == "outside":
+        raise OutOfBoundsError(f"coordinate {c} outside {height}x{width} grid")
+    if kind == "duplicate":
+        raise DuplicateCoordError(f"duplicate coordinate {c}")
+    raise ShapeMismatchError(f"coordinates not sorted: {c} after {tuple(rc[i - 1].tolist())}")
 
 
 def from_entries(
@@ -166,7 +261,7 @@ def from_entries(
     for (a, _), (b, _) in zip(items, items[1:]):
         if a == b:
             raise DuplicateCoordError(f"duplicate coordinate {a}")
-    coords = tuple(coord for coord, _ in items)
+    coords = [coord for coord, _ in items]
     feats = np.array([vec for _, vec in items], dtype=FEATURE_DTYPE)
     feats = feats.reshape(len(items), channels)
     return PillarTensor(height, width, channels, coords, feats)
@@ -175,10 +270,7 @@ def from_entries(
 def from_dense(grid: DenseGrid) -> PillarTensor:
     """Active set = cells with at least one nonzero channel."""
     mask = np.any(grid.data != 0, axis=2)
-    idx = np.argwhere(mask)
-    coords = tuple((int(r), int(c)) for r, c in idx)
-    feats = grid.data[mask] if coords else np.zeros((0, grid.channels), dtype=FEATURE_DTYPE)
-    return PillarTensor(grid.height, grid.width, grid.channels, coords, feats)
+    return PillarTensor(grid.height, grid.width, grid.channels, np.argwhere(mask), grid.data[mask])
 
 
 def empty(height: int, width: int, channels: int) -> PillarTensor:
@@ -201,18 +293,14 @@ def concat_channels(tensors: Sequence[PillarTensor]) -> PillarTensor:
             raise ShapeMismatchError(
                 f"grid mismatch in concat: {(t.height, t.width)} vs {(h, w)}"
             )
-    union = sorted(set().union(*(t.coords for t in tensors)))
+    union = sorted_unique(np.concatenate([t.keys for t in tensors]))
     total_c = sum(t.channels for t in tensors)
-    out = np.zeros((len(union), total_c), dtype=FEATURE_DTYPE)
+    out = np.zeros((union.size, total_c), dtype=FEATURE_DTYPE)
     offset = 0
     for t in tensors:
-        pos = t.index_of
-        for j, coord in enumerate(union):
-            i = pos.get(coord)
-            if i is not None:
-                out[j, offset : offset + t.channels] = t.features[i]
+        out[union.searchsorted(t.keys), offset : offset + t.channels] = t.features
         offset += t.channels
-    return PillarTensor(h, w, total_c, tuple(union), out)
+    return PillarTensor(h, w, total_c, coords_of_keys(union, w), out)
 
 
 # -- PLT v1 text I/O --------------------------------------------------------
@@ -232,8 +320,41 @@ def save_plt(t: PillarTensor, path: str) -> None:
         write_plt(t, f)
 
 
+def _parse_rows(lines: list[str], c: int) -> tuple[np.ndarray, FormatError | None]:
+    """Parse entry lines into an (m, 2 + c) float64 table.
+
+    Returns the rows before the first malformed line and that line's error
+    (None if every line parses), so callers can report faults in file order.
+    Well-formed input is parsed in one call; only a rejected one is re-read
+    line by line to find the fault.
+    """
+    if lines:
+        try:
+            table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+            if table.shape == (len(lines), 2 + c):
+                return table, None
+        except ValueError:
+            pass
+    rows: list[np.ndarray] = []
+    err = None
+    for i, line in enumerate(lines):
+        tok = line.split()
+        if len(tok) != 2 + c:
+            err = FormatError(f"PLT entry {i} has {len(tok) - 2} values, expected {c}")
+            break
+        try:
+            rows.append(np.array(tok, dtype=np.float64))
+        except ValueError:
+            err = FormatError(f"PLT entry {i} has a non-numeric value: {line.strip()[:60]!r}")
+            break
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 2 + c), err
+
+
 def read_plt(f: TextIO) -> PillarTensor:
-    """Parse PLT v1. Rejects unsorted or duplicate coordinates."""
+    """Parse PLT v1. Rejects unsorted or duplicate coordinates.
+
+    Faults are reported for the first offending entry in file order.
+    """
     header = f.readline()
     parts = header.split()
     if len(parts) != 6 or " ".join(parts[:2]) != PLT_MAGIC:
@@ -242,29 +363,34 @@ def read_plt(f: TextIO) -> PillarTensor:
         h, w, c, n = (int(x) for x in parts[2:])
     except ValueError as e:
         raise FormatError(f"bad PLT header numbers: {header!r}") from e
-    coords: list[Coord] = []
-    feats = np.zeros((n, c), dtype=FEATURE_DTYPE)
-    prev: Coord | None = None
-    for i in range(n):
-        line = f.readline()
-        if not line:
-            raise FormatError(f"PLT truncated: expected {n} entries, got {i}")
-        tok = line.split()
-        if len(tok) != 2 + c:
-            raise FormatError(f"PLT entry {i} has {len(tok) - 2} values, expected {c}")
-        coord = (int(tok[0]), int(tok[1]))
-        if not (0 <= coord[0] < h and 0 <= coord[1] < w):
+    if c < 0 or n < 0:
+        raise FormatError(f"bad PLT header: negative count in {header!r}")
+    lines = f.read().split("\n")
+    n_lines = len(lines) - (lines[-1] == "")  # a final newline ends the last line
+    body, rest = lines[: min(n, n_lines)], lines[n:]
+    table, parse_error = _parse_rows(body, c)
+    pos = table[:, :2]
+    integral = (np.isfinite(pos) & (pos == np.floor(pos))).all(axis=1)
+    # off-grid and non-integer positions become -1 so the cast cannot overflow
+    rc = np.where(integral[:, None], np.clip(pos, -1, max(h, w)), -1).astype(np.int64)
+    fault = _first_fault(rc, h, w)
+    if fault is not None:
+        i, kind = fault
+        if not integral[i]:
+            raise FormatError(f"PLT entry {i} has a non-integer coordinate: {body[i].split()[:2]}")
+        coord = (int(pos[i, 0]), int(pos[i, 1]))
+        if kind == "outside":
             raise FormatError(f"PLT entry {i} coordinate {coord} outside {h}x{w} grid")
-        if prev is not None and coord <= prev:
-            kind = "duplicate" if coord == prev else "unsorted"
-            raise FormatError(f"PLT entry {i} is {kind}: {coord} after {prev}")
-        prev = coord
-        coords.append(coord)
-        feats[i] = [float(x) for x in tok[2:]]
-    rest = f.read().strip()
-    if rest:
-        raise FormatError(f"PLT has content after {n} entries: {rest[:40]!r}")
-    return PillarTensor(h, w, c, tuple(coords), feats)
+        prev = tuple(rc[i - 1].tolist())
+        raise FormatError(f"PLT entry {i} is {kind}: {coord} after {prev}")
+    if parse_error is not None:
+        raise parse_error
+    if n_lines < n:
+        raise FormatError(f"PLT truncated: expected {n} entries, got {n_lines}")
+    extra = "\n".join(rest).strip()
+    if extra:
+        raise FormatError(f"PLT has content after {n} entries: {extra[:40]!r}")
+    return PillarTensor(h, w, c, rc, table[:, 2:])
 
 
 def load_plt(path: str) -> PillarTensor:

@@ -18,10 +18,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:

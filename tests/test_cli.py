@@ -150,6 +150,18 @@ class TestVerify:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_nan_feature_fails(self, tmp_path, capsys):
+        scene = gen_scene(tmp_path)
+        lines = scene.read_text().splitlines()
+        row = lines[1].split()
+        lines[1] = " ".join(row[:2] + ["nan"] + row[3:])
+        scene.write_text("\n".join(lines) + "\n")
+        rc = main(["verify", str(scene), "--seed", "2"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "max|diff|=nan" in out
+        assert ": ok" not in out
+
 
 class TestSweep:
     def test_flops_rise_with_t(self, tmp_path):
@@ -250,6 +262,18 @@ class TestErrorsAndUsage:
             main(["--version"])
         assert e.value.code == 0
         assert "pillarconv" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("header,body", [
+        ("PLT v1 4 4 1 1", "0 0 abc"),       # non-numeric value
+        ("PLT v1 4 4 1 -1", ""),             # negative entry count
+        ("PLT v1 4 4 -2 1", "0 0"),          # negative channel count
+    ])
+    def test_malformed_plt_values_report_errors(self, tmp_path, capsys, header, body):
+        path = tmp_path / "bad.plt"
+        path.write_text(header + "\n" + body + "\n")
+        rc = main(["run", str(path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_indivisible_grid_reports_error(self, tmp_path, capsys):
         path = tmp_path / "odd.plt"

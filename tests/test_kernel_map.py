@@ -1,0 +1,338 @@
+"""Property tests of the kernel-map join against brute-force per-tuple references.
+
+Every builder is one vectorised join over linearised keys. The references
+here enumerate (input, offset) pairs one at a time with Python sets, so a
+key that wraps into the next row, a dropped clip or a wrong canonical order
+shows up as a mismatch.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pillarconv.accel import (
+    AcceleratorConfig,
+    generate_rules_pipelined,
+    mapping_stats_3x3,
+    mapping_stats_strided,
+    simulate_network,
+)
+from pillarconv.backbone import ConvMode, make_pointpillars, run_network, with_body_mode
+from pillarconv.conv import (
+    Kernel,
+    Rulebook,
+    build_rulebook_deconv2x2,
+    build_rulebook_downsample2x2,
+    build_rulebook_selective,
+    build_rulebook_sparse,
+    build_rulebook_subm,
+    execute_rulebook,
+)
+from pillarconv.scenes import SceneSpec, generate
+from pillarconv.tensor import FEATURE_DTYPE, PillarTensor, load_plt, save_plt
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def kernel(k_h, k_w, stride=1, c_in=1, c_out=1, seed=0):
+    return Kernel.seeded(k_h, k_w, c_in, c_out, stride, seed=seed, bias_scale=0.1)
+
+
+# -- brute-force references ----------------------------------------------------
+
+
+def reference(active, k, out_shape, target, outputs=None):
+    """Canonical tuples and output coords by enumerating every (input, offset).
+
+    `target(r, c, dr, dc)` is the output an input reaches under an offset, or
+    None. Outputs default to every in-grid target; otherwise targets off
+    `outputs` are dropped.
+    """
+    out_h, out_w = out_shape
+    pairs = []
+    for i, (r, c) in enumerate(active):
+        for w, (dr, dc) in enumerate(k.offsets):
+            t = target(r, c, dr, dc)
+            if t is not None and 0 <= t[0] < out_h and 0 <= t[1] < out_w:
+                pairs.append((i, w, t))
+    if outputs is None:
+        outputs = {t for _, _, t in pairs}
+    out_coords = sorted(outputs)
+    index = {rc: j for j, rc in enumerate(out_coords)}
+    tuples = sorted((index[t], w, i) for i, w, t in pairs if t in index)
+    return tuple(out_coords), [(i, w, o) for o, w, i in tuples]
+
+
+def stride1(r, c, dr, dc):
+    return (r + dr, c + dc)
+
+
+def transposed(r, c, dr, dc):
+    return (2 * r + dr, 2 * c + dc)
+
+
+def downsampled(r, c, dr, dc):
+    if (r - dr) % 2 or (c - dc) % 2:
+        return None
+    return ((r - dr) // 2, (c - dc) // 2)
+
+
+def neighborhood(points, k, shape):
+    return {
+        (r + dr, c + dc)
+        for r, c in points
+        for dr, dc in k.offsets
+        if 0 <= r + dr < shape[0] and 0 <= c + dc < shape[1]
+    }
+
+
+def assert_matches(rb, want):
+    out_coords, tuples = want
+    assert rb.output_coords == out_coords
+    got = list(zip(rb.in_idx.tolist(), rb.w_idx.tolist(), rb.out_idx.tolist()))
+    assert got == tuples
+
+
+# -- strategies --------------------------------------------------------------------
+
+
+@st.composite
+def grids(draw, max_side=8, edge_columns=False, max_active=None):
+    """(h, w, sorted active cells); with `edge_columns` only columns 0 and w - 1."""
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    if edge_columns:
+        cells = [(r, c) for r in range(h) for c in sorted({0, w - 1})]
+    else:
+        cells = [(r, c) for r in range(h) for c in range(w)]
+    active = draw(st.lists(st.sampled_from(cells), unique=True,
+                           max_size=min(len(cells), max_active or len(cells))))
+    return h, w, sorted(active)
+
+
+odd_kernels = st.tuples(st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]))
+
+
+# -- the five builders against the references ---------------------------------------
+
+
+class TestBuildersMatchReference:
+    @SETTINGS
+    @given(grids(), odd_kernels)
+    def test_subm(self, grid, kshape):
+        h, w, active = grid
+        k = kernel(*kshape)
+        rb = build_rulebook_subm(active, k, bounds=(h, w))
+        assert_matches(rb, reference(active, k, (h, w), stride1, set(active)))
+
+    @SETTINGS
+    @given(grids(), odd_kernels)
+    def test_sparse(self, grid, kshape):
+        h, w, active = grid
+        k = kernel(*kshape)
+        rb = build_rulebook_sparse(active, k, (h, w))
+        assert_matches(rb, reference(active, k, (h, w), stride1))
+
+    @SETTINGS
+    @given(grids(), odd_kernels, st.data())
+    def test_selective(self, grid, kshape, data):
+        h, w, active = grid
+        k = kernel(*kshape)
+        selected = data.draw(st.lists(st.sampled_from(active), unique=True) if active
+                             else st.just([]))
+        rb = build_rulebook_selective(active, selected, k, (h, w))
+        outputs = set(active) | neighborhood(selected, k, (h, w))
+        assert_matches(rb, reference(active, k, (h, w), stride1, outputs))
+
+    @SETTINGS
+    @given(grids())
+    def test_downsample(self, grid):
+        h, w, active = grid
+        k = kernel(2, 2, stride=2)
+        rb = build_rulebook_downsample2x2(active, k, (h, w))
+        out_shape = ((h + 1) // 2, (w + 1) // 2)
+        assert (rb.out_height, rb.out_width) == out_shape
+        assert_matches(rb, reference(active, k, out_shape, downsampled))
+
+    @SETTINGS
+    @given(grids(max_side=5), st.integers(0, 2), st.integers(0, 2))
+    def test_deconv(self, grid, clip_h, clip_w):
+        h, w, active = grid
+        k = kernel(2, 2, stride=2)
+        out_shape = (max(1, 2 * h - clip_h), max(1, 2 * w - clip_w))
+        rb = build_rulebook_deconv2x2(active, k, out_shape)
+        assert_matches(rb, reference(active, k, out_shape, transposed))
+
+
+class TestEdgeColumns:
+    """Keys r * W + c of column 0 and W - 1 sit next to the neighbouring rows'."""
+
+    @SETTINGS
+    @given(grids(edge_columns=True), odd_kernels, st.data())
+    def test_no_key_wraps_across_rows(self, grid, kshape, data):
+        h, w, active = grid
+        k = kernel(*kshape)
+        assert_matches(build_rulebook_subm(active, k, bounds=(h, w)),
+                       reference(active, k, (h, w), stride1, set(active)))
+        assert_matches(build_rulebook_sparse(active, k, (h, w)),
+                       reference(active, k, (h, w), stride1))
+        selected = data.draw(st.lists(st.sampled_from(active), unique=True) if active
+                             else st.just([]))
+        outputs = set(active) | neighborhood(selected, k, (h, w))
+        assert_matches(build_rulebook_selective(active, selected, k, (h, w)),
+                       reference(active, k, (h, w), stride1, outputs))
+
+
+class TestEmptyAndInferredBounds:
+    def test_every_builder_accepts_an_empty_active_set(self):
+        k3, k2 = kernel(3, 3), kernel(2, 2, stride=2)
+        books = [
+            build_rulebook_subm((), k3, bounds=(4, 4)),
+            build_rulebook_subm([], k3),
+            build_rulebook_sparse((), k3, (4, 4)),
+            build_rulebook_selective((), (), k3, (4, 4)),
+            build_rulebook_downsample2x2((), k2, (4, 4)),
+            build_rulebook_deconv2x2((), k2, (8, 8)),
+        ]
+        for rb in books:
+            assert rb.n_tuples == 0 and rb.n_outputs == 0
+            assert rb.output_coords == ()
+            assert rb.output_rc.shape == (0, 2)
+
+    def test_subm_without_bounds_on_empty_input_is_a_1x1_grid(self):
+        rb = build_rulebook_subm((), kernel(3, 3))
+        assert (rb.out_height, rb.out_width) == (1, 1)
+
+    @SETTINGS
+    @given(grids(), odd_kernels)
+    def test_subm_without_bounds_infers_them_from_the_coords(self, grid, kshape):
+        _, _, active = grid
+        k = kernel(*kshape)
+        rb = build_rulebook_subm(active, k)
+        h = max((r for r, _ in active), default=0) + 1
+        w = max((c for _, c in active), default=0) + 1
+        assert (rb.out_height, rb.out_width) == (h, w)
+        assert_matches(rb, reference(active, k, (h, w), stride1, set(active)))
+
+    def test_array_and_tuple_inputs_build_the_same_book(self):
+        active = [(0, 0), (0, 3), (2, 1), (3, 3)]
+        k = kernel(3, 3)
+        as_array = np.array(active, dtype=np.int64)
+        assert build_rulebook_sparse(active, k, (4, 4)).same_tuples(
+            build_rulebook_sparse(as_array, k, (4, 4)))
+        assert build_rulebook_selective(active, frozenset(active[:2]), k, (4, 4)).same_tuples(
+            build_rulebook_selective(as_array, as_array[:2], k, (4, 4)))
+
+
+# -- stats-only mapping against the streaming generator -----------------------------
+
+latencies = st.integers(1, 4)
+
+
+class TestStatsOnlyMapping:
+    @SETTINGS
+    @given(grids(max_side=5, max_active=6),
+           latencies, latencies, latencies, latencies)
+    def test_3x3_stats_equal_the_pipelined_generator_for_every_flag_set(
+        self, grid, la, lm, ld, le
+    ):
+        h, w, active = grid
+        cfg = AcceleratorConfig(lat_align=la, lat_merge=lm, lat_dilate=ld, lat_expand=le)
+        k = Kernel(3, 3, 1, 1, 1, np.zeros((9, 1, 1), np.float32), np.zeros(1, np.float32))
+        want = mapping_stats_3x3(h, active, cfg)
+        for flags in itertools.product([False, True], repeat=len(active)):
+            _, stats = generate_rules_pipelined(h, w, active, list(flags), k, cfg)
+            assert stats == want
+
+    @SETTINGS
+    @given(grids(), st.sampled_from(["downsample", "deconv"]), latencies, latencies, latencies)
+    def test_strided_stats_equal_a_per_band_count(self, grid, kind, la, lm, le):
+        _, _, active = grid
+        cfg = AcceleratorConfig(lat_align=la, lat_merge=lm, lat_dilate=3, lat_expand=le)
+        bands: dict[int, list[int]] = {}
+        for r, c in active:
+            if kind == "downsample":
+                bands.setdefault(r // 2, []).append(c // 2)
+            else:
+                bands.setdefault(2 * r, []).append(c)
+                bands.setdefault(2 * r + 1, []).append(c)
+        merged = sum(len(set(cols)) for cols in bands.values())
+        lat = lm if kind == "downsample" else max(lm, le)
+        cycles = sum(max(len(cols) * la, len(set(cols)) * lat) for cols in bands.values())
+        stats = mapping_stats_strided(active, kind, cfg)
+        assert (stats.bands, stats.alignment, stats.row_merge, stats.cycles) == (
+            len(bands), sum(map(len, bands.values())), merged, cycles)
+        assert stats.dilation_check == 0
+        assert stats.column_dilation == (merged if kind == "deconv" else 0)
+
+
+# -- execution -------------------------------------------------------------------------
+
+
+def execute_add_at(rb, t, k):
+    """Per-offset masks and np.add.at: the scatter the segment loop replaces."""
+    acc = np.zeros((rb.n_outputs, k.c_out), dtype=np.float64)
+    feats = t.features.astype(np.float64)
+    weights = k.weights.astype(np.float64)
+    for w in range(k.taps):
+        mask = rb.w_idx == w
+        if mask.any():
+            np.add.at(acc, rb.out_idx[mask], feats[rb.in_idx[mask]] @ weights[w])
+    acc += k.bias.astype(np.float64)
+    return acc.astype(FEATURE_DTYPE)
+
+
+class TestExecution:
+    @SETTINGS
+    @given(grids(), st.sampled_from(["subm", "sparse", "selective", "down", "deconv"]),
+           st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
+    def test_bitwise_equal_to_add_at(self, grid, mode, c_in, c_out, seed):
+        h, w, active = grid
+        rng = np.random.default_rng(seed)
+        feats = (rng.standard_normal((len(active), c_in)) * 10.0 ** rng.integers(-3, 4)).astype(
+            FEATURE_DTYPE)
+        t = PillarTensor(h, w, c_in, active, feats)
+        if mode in ("down", "deconv"):
+            k = kernel(2, 2, 2, c_in, c_out, seed)
+            rb = (build_rulebook_downsample2x2(active, k, (h, w)) if mode == "down"
+                  else build_rulebook_deconv2x2(active, k, (2 * h, 2 * w)))
+        else:
+            k = kernel(3, 3, 1, c_in, c_out, seed)
+            if mode == "subm":
+                rb = build_rulebook_subm(active, k, bounds=(h, w))
+            elif mode == "sparse":
+                rb = build_rulebook_sparse(active, k, (h, w))
+            else:
+                rb = build_rulebook_selective(active, active[::3], k, (h, w))
+        out = execute_rulebook(rb, t, k)
+        want = execute_add_at(rb, t, k)
+        assert out.features.tobytes() == want.tobytes()
+        assert np.array_equal(out.rc, rb.output_rc)
+
+
+# -- the production path stays on arrays ----------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [None, ConvMode.SPARSE_FULL, ConvMode.SUBMANIFOLD,
+                                  ConvMode.DENSE])
+def test_load_run_simulate_builds_no_coordinate_tuples(tmp_path, monkeypatch, mode):
+    path = tmp_path / "scene.plt"
+    save_plt(generate(SceneSpec(height=32, width=24, channels=8, density=0.15,
+                                pattern="clustered", clusters=4, spread=2.0, seed=3)),
+             str(path))
+    spec = make_pointpillars(height=32, width=24, channels=8, t=10.0)
+    if mode is not None:
+        spec = with_body_mode(spec, mode)
+
+    def refuse(self):
+        raise AssertionError("a coordinate tuple view was built")
+
+    for cls, name in ((PillarTensor, "coords"), (PillarTensor, "index_of"),
+                      (Rulebook, "output_coords")):
+        monkeypatch.setattr(cls, name, property(refuse))
+    res = run_network(load_plt(str(path)), spec)
+    net = simulate_network(res.traces)
+    assert res.output.n_active > 0 and net.total > 0

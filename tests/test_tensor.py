@@ -200,3 +200,84 @@ class TestPltFormat:
         text = "PLT v1 4 4 2 1\n0 0 " + fmt_float(1.0) + "\n"
         with pytest.raises(FormatError):
             read_plt(io.StringIO(text))
+
+
+class TestPltValues:
+    def test_non_numeric_value_is_a_format_error(self):
+        text = "PLT v1 4 4 2 2\n0 0 1.0 2.0\n1 1 1.0 x2\n"
+        with pytest.raises(FormatError, match="entry 1 has a non-numeric value"):
+            read_plt(io.StringIO(text))
+
+    def test_non_integer_coordinate_is_a_format_error(self):
+        with pytest.raises(FormatError, match="non-integer coordinate"):
+            read_plt(io.StringIO("PLT v1 4 4 1 1\n0.5 0 1.0\n"))
+        with pytest.raises(FormatError, match="non-numeric value"):
+            read_plt(io.StringIO("PLT v1 4 4 1 1\nx 0 1.0\n"))
+
+    @pytest.mark.parametrize("header", ["PLT v1 4 4 1 -3", "PLT v1 4 4 -1 2"])
+    def test_negative_counts_are_rejected_before_allocating(self, header):
+        with pytest.raises(FormatError, match="negative count"):
+            read_plt(io.StringIO(header + "\n"))
+
+    def test_first_fault_in_file_order_is_reported(self):
+        # entry 1 is out of bounds, entry 2 has too few values
+        text = "PLT v1 4 4 1 3\n0 0 1.0\n9 9 1.0\n2 2\n"
+        with pytest.raises(FormatError, match="entry 1 coordinate"):
+            read_plt(io.StringIO(text))
+        text = "PLT v1 4 4 1 3\n0 0 1.0\n1 1\n0 0 1.0\n"
+        with pytest.raises(FormatError, match="entry 1 has 0 values"):
+            read_plt(io.StringIO(text))
+
+    def test_blank_line_inside_the_body_is_an_entry_with_no_values(self):
+        text = "PLT v1 4 4 1 2\n0 0 1.0\n\n1 1 1.0\n"
+        with pytest.raises(FormatError, match="entry 1 has -2 values"):
+            read_plt(io.StringIO(text))
+
+    def test_float32_values_round_trip_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        bits = rng.integers(0, 2**32, size=(500, 6), dtype=np.uint64).astype(np.uint32)
+        feats = bits.view(np.float32)
+        feats = np.where(np.isfinite(feats), feats, np.float32(0.0))
+        feats[0, :4] = [np.float32(1e-45), np.float32(-3.4028235e38), -0.0, np.float32(1.1754942e-38)]
+        coords = [(i // 25, i % 25) for i in range(500)]
+        t = PillarTensor(20, 25, 6, coords, feats)
+        buf = io.StringIO()
+        write_plt(t, buf)
+        buf.seek(0)
+        back = read_plt(buf)
+        assert back.features.tobytes() == t.features.tobytes()
+        assert np.array_equal(back.rc, t.rc)
+
+
+class TestArrayCoords:
+    def test_coords_view_matches_the_array(self):
+        t = make_tensor([(5, 1), (0, 3), (0, 1)])
+        assert t.rc.dtype == np.int64 and t.rc.shape == (3, 2)
+        assert t.coords == tuple(map(tuple, t.rc.tolist()))
+        assert np.array_equal(t.keys, t.rc[:, 0] * t.width + t.rc[:, 1])
+
+    def test_coords_array_is_read_only_and_callers_array_is_untouched(self):
+        rc = np.array([[0, 0], [1, 1]], dtype=np.int64)
+        t = PillarTensor(2, 2, 1, rc, np.zeros((2, 1), dtype=np.float32))
+        with pytest.raises(ValueError):
+            t.rc[0, 0] = 1
+        rc[0, 0] = 0  # the caller's array stays writable
+
+    def test_validate_reports_the_first_fault_in_order(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(0, 0\) after \(1, 1\)"):
+            validate_coords(4, 4, ((1, 1), (0, 0), (9, 9)))
+        with pytest.raises(OutOfBoundsError):
+            validate_coords(4, 4, ((1, 1), (9, 9), (0, 0)))
+        with pytest.raises(DuplicateCoordError):
+            validate_coords(4, 4, ((1, 1), (1, 1), (0, 0)))
+        with pytest.raises(OutOfBoundsError):
+            validate_coords(4, 4, ((-1, 2),))
+
+    def test_concat_of_disjoint_and_overlapping_sets(self):
+        a = make_tensor([(0, 0), (3, 7)], c=1, seed=1)
+        b = make_tensor([(3, 7), (7, 0)], c=2, seed=2)
+        out = concat_channels([a, b])
+        assert out.coords == ((0, 0), (3, 7), (7, 0))
+        assert np.array_equal(out.features[1], np.concatenate([a.features[1], b.features[0]]))
+        assert np.array_equal(out.features[0, 1:], [0.0, 0.0])
+        assert np.array_equal(out.features[2, :1], [0.0])

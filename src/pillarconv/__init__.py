@@ -26,14 +26,12 @@ from .accel import (
 )
 from .backbone import (
     ConvMode,
-    LayerReport,
+    LayerRecord,
     LayerSpec,
-    LayerTrace,
     NetworkResult,
     NetworkSpec,
     SelectionSpec,
     StageSpec,
-    compare_modes,
     dense_flops_of_spec,
     make_centerpoint_backbone,
     make_pillarnet_neck,
@@ -57,12 +55,9 @@ from .conv import (
     build_rulebook_sparse,
     build_rulebook_subm,
     dense_conv_oracle,
-    dense_conv_reference,
     dense_deconv_oracle,
     execute_rulebook,
     flops_of_rulebook,
-    load_krn,
-    save_krn,
 )
 from .errors import (
     BadKernelShapeError,
@@ -71,6 +66,7 @@ from .errors import (
     DuplicateCoordError,
     EmptyCalibrationPoolError,
     FormatError,
+    NonFiniteValueError,
     OutOfBoundsError,
     PillarConvError,
     SelectionNotSubsetError,
@@ -87,7 +83,6 @@ from .importance import (
     Selection,
     calibrate_threshold,
     pillar_importance,
-    prune_by_importance,
     select_threshold,
     select_topk,
     selection_flags,

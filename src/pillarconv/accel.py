@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conv import Kernel, Rulebook, _assemble
+from .conv import Kernel, Rulebook
 from .errors import BadKernelShapeError, ShapeMismatchError
 from .tensor import Coord, as_coords_array, sorted_unique
 from .util import ceil_div
@@ -70,6 +70,19 @@ class MappingStats:
 
 
 ZERO_MAPPING = MappingStats(0, 0, 0, 0, 0, 0)
+
+
+def _assemble(
+    triples: list[tuple[int, int, int]],
+    out_coords: list[Coord],
+    out_h: int,
+    out_w: int,
+) -> Rulebook:
+    """Sort (input, weight, output) tuples canonically and freeze them into a Rulebook."""
+    t = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    order = np.lexsort((t[:, 0], t[:, 1], t[:, 2]))
+    t = t[order]
+    return Rulebook(t[:, 0], t[:, 1], t[:, 2], out_coords, out_h, out_w)
 
 
 def generate_rules_pipelined(
@@ -295,43 +308,42 @@ class NetworkCycles:
     ideal_flops_ratio: float
 
 
-def simulate_layer(trace, cfg: AcceleratorConfig | None = None) -> LayerCycles:
-    """Cycle cost of one traced layer.
+def simulate_layer(rec, cfg: AcceleratorConfig | None = None) -> LayerCycles:
+    """Cycle cost of one executed layer (a `backbone.LayerRecord`).
 
     Dense-mode layers cost exactly their dense baseline (no mapping, no
     stall), so an all-dense network simulates to speedup 1.
     """
     cfg = cfg or AcceleratorConfig()
-    dense = dense_baseline_cycles(
-        trace.dense_positions, trace.dense_taps, trace.c_in, trace.c_out, cfg
-    )
-    if trace.mode.value == "dense":
-        return LayerCycles(trace.layer_id, trace.mode.value, ZERO_MAPPING, dense, 0, dense, trace.flops)
-    if trace.kind in ("downsample", "deconv"):
-        mapping = mapping_stats_strided(trace.in_coords, trace.kind, cfg)
-    elif (trace.k_h, trace.k_w) == (1, 1):
-        mapping = _mapping_stats_1x1(trace.in_coords, cfg)
-    elif (trace.k_h, trace.k_w) == (3, 3):
-        mapping = mapping_stats_3x3(trace.in_h, trace.in_coords, cfg)
+    p, spec = rec.plan, rec.plan.spec
+    mode = spec.mode.value
+    dense = dense_baseline_cycles(p.dense_positions, p.dense_taps, spec.c_in, spec.c_out, cfg)
+    if mode == "dense":
+        return LayerCycles(p.layer_id, mode, ZERO_MAPPING, dense, 0, dense, rec.flops)
+    if p.kind in ("downsample", "deconv"):
+        mapping = mapping_stats_strided(rec.in_coords, p.kind, cfg)
+    elif (spec.k_h, spec.k_w) == (1, 1):
+        mapping = _mapping_stats_1x1(rec.in_coords, cfg)
+    elif (spec.k_h, spec.k_w) == (3, 3):
+        mapping = mapping_stats_3x3(p.in_h, rec.in_coords, cfg)
     else:
         raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")
-    gemm = gemm_cycles_sparse(trace.n_per_offset, trace.c_in, trace.c_out, cfg)
-    n_in = trace.in_coords.shape[0]
+    gemm = gemm_cycles_sparse(rec.n_per_offset, spec.c_in, spec.c_out, cfg)
     stall = stall_cycles(
-        n_in, trace.n_out, trace.k_h * trace.k_w, trace.c_in, trace.c_out, cfg
+        rec.active_in, rec.active_out, spec.k_h * spec.k_w, spec.c_in, spec.c_out, cfg
     )
-    return LayerCycles(trace.layer_id, trace.mode.value, mapping, gemm, stall, dense, trace.flops)
+    return LayerCycles(p.layer_id, mode, mapping, gemm, stall, dense, rec.flops)
 
 
-def simulate_network(traces: Sequence, cfg: AcceleratorConfig | None = None) -> NetworkCycles:
-    """Simulate traced layers in execution order.
+def simulate_network(records: Sequence, cfg: AcceleratorConfig | None = None) -> NetworkCycles:
+    """Simulate executed layers (`backbone.LayerRecord`s) in execution order.
 
     Total time overlaps each layer's rule generation with the previous
     layer's GEMM: mapping_1 + sum(max(mapping_i, gemm_{i-1})) + gemm_last,
     plus all stalls.
     """
     cfg = cfg or AcceleratorConfig()
-    per = [simulate_layer(tr, cfg) for tr in traces]
+    per = [simulate_layer(rec, cfg) for rec in records]
     if not per:
         return NetworkCycles((), 0, 0, 0, 0, 0, 1.0, 1.0)
     mapping_sum = sum(p.mapping.cycles for p in per)
@@ -343,10 +355,7 @@ def simulate_network(traces: Sequence, cfg: AcceleratorConfig | None = None) -> 
     total += per[-1].gemm + stall_sum
     dense_total = sum(p.dense_baseline for p in per)
     sparse_flops = sum(p.flops for p in per)
-    dense_flops = sum(
-        tr.dense_positions * (2 * tr.dense_taps * tr.c_in * tr.c_out + tr.c_out)
-        for tr in traces
-    )
+    dense_flops = sum(rec.plan.dense_flops for rec in records)
     speedup = dense_total / total if total else float("inf")
     ideal = dense_flops / sparse_flops if sparse_flops else float("inf")
     return NetworkCycles(

@@ -13,10 +13,12 @@ full sparse (dilating), submanifold (active set preserved), or selective
 selection picked). Selection happens per layer on the layer's input tensor.
 Downsample and deconv layers are either dense or sparse.
 
-`run_network` returns the final tensor, one report row per layer (active
-counts, density, selected count, flops), and a trace with the per-layer
-counts a cycle simulator needs. Layer weights are seeded pseudorandom
-(Philox) unless explicit kernels are supplied; biases default to zero.
+`run_network` returns the final tensor and one `LayerRecord` per layer: the
+planned layer plus what running it found out (input coordinates, output
+count, selected count, flops, tuples per kernel offset, dilation flags).
+Reports, FLOPs totals and the cycle simulator all read these records. Layer
+weights are seeded pseudorandom (Philox) unless explicit kernels are
+supplied; biases default to zero.
 """
 
 from __future__ import annotations
@@ -146,6 +148,12 @@ class PlannedLayer:
         # for the 2x2 stride-2 transposed form
         return 1 if self.kind == "deconv" else self.spec.k_h * self.spec.k_w
 
+    @property
+    def dense_flops(self) -> int:
+        """Flops of running this layer dense, same counting convention."""
+        c_in, c_out = self.spec.c_in, self.spec.c_out
+        return self.dense_positions * (2 * self.dense_taps * c_in * c_out + c_out)
+
 
 def plan_layers(spec: NetworkSpec) -> list[PlannedLayer]:
     """Flatten a network into ordered layers with resolved grids."""
@@ -175,50 +183,28 @@ def validate_network(spec: NetworkSpec) -> None:
         raise SpecMismatchError(
             f"neck has {len(spec.neck)} chains for {len(spec.stages)} stages"
         )
-    c = spec.channels
-    for si, stage in enumerate(spec.stages, start=1):
-        d = stage.downsample
-        if (d.k_h, d.k_w, d.stride) != (2, 2, 2):
-            raise SpecMismatchError(f"stage {si} downsample must be 2x2 stride-2")
-        if d.mode in (ConvMode.SUBMANIFOLD, ConvMode.SELECTIVE):
-            raise SpecMismatchError(f"stage {si} downsample cannot run mode {d.mode.value}")
-        if d.c_in != c:
-            raise SpecMismatchError(f"stage {si} downsample c_in {d.c_in}, expected {c}")
-        c = d.c_out
-        for bi, layer in enumerate(stage.body):
+    # per stage: (channels, out_h, out_w) where its trunk, then its neck chain, ends
+    c_trunk = spec.channels
+    tip: dict[int, tuple[int, int, int]] = {}
+    for p in plan_layers(spec):
+        layer = p.spec
+        if p.kind == "body":
             if layer.stride != 1:
-                raise SpecMismatchError(f"s{si}.body{bi} must be stride 1")
-            if layer.c_in != c:
-                raise SpecMismatchError(f"s{si}.body{bi} c_in {layer.c_in}, expected {c}")
-            c = layer.c_out
+                raise SpecMismatchError(f"{p.layer_id} must be stride 1")
+        else:
+            if (layer.k_h, layer.k_w, layer.stride) != (2, 2, 2):
+                raise SpecMismatchError(f"{p.layer_id} must be 2x2 stride-2")
+            if layer.mode in (ConvMode.SUBMANIFOLD, ConvMode.SELECTIVE):
+                raise SpecMismatchError(f"{p.layer_id} cannot run mode {layer.mode.value}")
+        c = tip[p.stage][0] if p.kind == "deconv" else c_trunk
+        if layer.c_in != c:
+            raise SpecMismatchError(f"{p.layer_id} c_in {layer.c_in}, expected {c}")
+        if p.kind != "deconv":
+            c_trunk = layer.c_out
+        tip[p.stage] = (layer.c_out, p.out_h, p.out_w)
     if spec.neck:
-        stage_channels: list[int] = []
-        cc = spec.channels
-        for stage in spec.stages:
-            cc = stage.downsample.c_out
-            for layer in stage.body:
-                cc = layer.c_out
-            stage_channels.append(cc)
-        # chains double the grid each step; all must land on one grid
-        grids = set()
-        h, w = spec.height, spec.width
-        stage_grids = []
-        for _ in spec.stages:
-            h, w = (h + 1) // 2, (w + 1) // 2
-            stage_grids.append((h, w))
-        for si, chain in enumerate(spec.neck, start=1):
-            cc = stage_channels[si - 1]
-            gh, gw = stage_grids[si - 1]
-            for di, layer in enumerate(chain):
-                if (layer.k_h, layer.k_w, layer.stride) != (2, 2, 2):
-                    raise SpecMismatchError(f"neck{si}.up{di} must be 2x2 stride-2")
-                if layer.mode in (ConvMode.SUBMANIFOLD, ConvMode.SELECTIVE):
-                    raise SpecMismatchError(f"neck{si}.up{di} cannot run mode {layer.mode.value}")
-                if layer.c_in != cc:
-                    raise SpecMismatchError(f"neck{si}.up{di} c_in {layer.c_in}, expected {cc}")
-                cc = layer.c_out
-                gh, gw = 2 * gh, 2 * gw
-            grids.add((gh, gw))
+        # every chain must land on one grid
+        grids = {(h, w) for _, h, w in tip.values()}
         if len(grids) > 1:
             raise SpecMismatchError(f"neck chains end on different grids: {sorted(grids)}")
         # exact doubling needs every halving to be even
@@ -229,68 +215,52 @@ def validate_network(spec: NetworkSpec) -> None:
             )
 
 
-# -- reports and traces -------------------------------------------------------
+# -- per-layer records ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LayerReport:
-    layer_id: str
-    kind: str
-    mode: str
-    out_h: int
-    out_w: int
-    c_in: int
-    c_out: int
-    active_in: int
-    active_out: int
-    density_out: float
-    selected: int
-    flops: int
+class LayerRecord:
+    """One executed layer: its plan plus what running it found out.
 
+    Everything else about the layer (id, kind, mode, grids, channels, kernel
+    shape) is read from `plan`. Feature values are not retained.
+    """
 
-@dataclass(frozen=True)
-class LayerTrace:
-    """Counts a cycle simulator needs; feature values are not retained."""
-
-    layer_id: str
-    kind: str
-    mode: ConvMode
-    in_h: int
-    in_w: int
-    out_h: int
-    out_w: int
-    c_in: int
-    c_out: int
-    k_h: int
-    k_w: int
+    plan: PlannedLayer
     in_coords: np.ndarray  # (n, 2) int64, row-major sorted
-    flags: np.ndarray | None  # per-entry dilation flags, stride-1 sparse only
-    n_per_offset: np.ndarray | None
-    n_out: int
+    active_out: int
+    selected: int  # pillars an importance selection picked; 0 outside selective layers
     flops: int
-    dense_positions: int
-    dense_taps: int
+    n_per_offset: np.ndarray | None  # tuples per kernel offset; None for dense layers
+    flags: np.ndarray | None  # per-entry dilation flags, stride-1 sparse only
+
+    @property
+    def layer_id(self) -> str:
+        return self.plan.layer_id
+
+    @property
+    def active_in(self) -> int:
+        return self.in_coords.shape[0]
+
+    @property
+    def density_out(self) -> float:
+        return self.active_out / self.plan.dense_positions
 
 
 @dataclass(frozen=True)
 class NetworkResult:
     output: PillarTensor
-    reports: tuple[LayerReport, ...]
-    traces: tuple[LayerTrace, ...]
+    reports: tuple[LayerRecord, ...]
+    traces = property(lambda self: self.reports)  # alias still read by perfbench/workloads.py
 
 
-def total_flops(reports: Sequence[LayerReport]) -> int:
+def total_flops(reports: Sequence[LayerRecord]) -> int:
     return sum(r.flops for r in reports)
 
 
 def dense_flops_of_spec(spec: NetworkSpec) -> int:
     """Analytic flops of running every layer dense, same counting convention."""
-    total = 0
-    for p in plan_layers(spec):
-        total += p.dense_positions * (
-            2 * p.dense_taps * p.spec.c_in * p.spec.c_out + p.spec.c_out
-        )
-    return total
+    return sum(p.dense_flops for p in plan_layers(spec))
 
 
 # -- execution ----------------------------------------------------------------
@@ -324,7 +294,7 @@ def _run_sparse_layer(
         sel_spec = p.spec.selection
         scores = pillar_importance(t, sel_spec.importance)
         selection = sel_spec.select(scores)
-        rb = build_rulebook_selective(t.rc, selection.selected, k, (p.in_h, p.in_w))
+        rb = build_rulebook_selective(t.rc, selection.rc, k, (p.in_h, p.in_w))
         flags = selection_flags(t, selection)
     else:
         raise SpecMismatchError(f"mode {mode} cannot run as a sparse layer")
@@ -364,8 +334,7 @@ def run_network(
     plan = plan_layers(spec)
     if weights is not None and len(weights) != len(plan):
         raise SpecMismatchError(f"got {len(weights)} kernels for {len(plan)} layers")
-    reports: list[LayerReport] = []
-    traces: list[LayerTrace] = []
+    records: list[LayerRecord] = []
     stage_out: dict[int, PillarTensor] = {}
 
     def run_one(cur: PillarTensor, p: PlannedLayer, ordinal: int) -> PillarTensor:
@@ -374,37 +343,18 @@ def run_network(
             p.spec.k_h, p.spec.k_w, p.spec.c_in, p.spec.c_out, p.spec.stride
         ):
             raise SpecMismatchError(f"kernel for {p.layer_id} does not match its spec")
-        selected = 0
         if p.spec.mode is ConvMode.DENSE:
             out = _run_dense_layer(cur, p, k)
-            flops = p.dense_positions * (2 * p.dense_taps * k.c_in * k.c_out + k.c_out)
-            n_per_offset = None
-            flags = None
-            n_out = out.n_active
-        else:
-            out, rb, selection, flags = _run_sparse_layer(cur, p, k)
-            if p.spec.activation == "relu":
-                out = out.with_features(np.maximum(out.features, 0))
-            flops = flops_of_rulebook(rb, k.c_in, k.c_out)
-            n_per_offset = rb.tuples_per_offset(k.taps)
-            n_out = rb.n_outputs
-            if selection is not None:
-                selected = len(selection.selected)
-        reports.append(
-            LayerReport(
-                p.layer_id, p.kind, p.spec.mode.value, p.out_h, p.out_w,
-                k.c_in, k.c_out, cur.n_active, out.n_active,
-                out.n_active / (p.out_h * p.out_w), selected, flops,
-            )
-        )
-        traces.append(
-            LayerTrace(
-                p.layer_id, p.kind, p.spec.mode, p.in_h, p.in_w, p.out_h, p.out_w,
-                k.c_in, k.c_out, k.k_h, k.k_w, cur.rc, flags,
-                n_per_offset, n_out, flops,
-                p.dense_positions, p.dense_taps,
-            )
-        )
+            records.append(LayerRecord(p, cur.rc, out.n_active, 0, p.dense_flops, None, None))
+            return out
+        out, rb, selection, flags = _run_sparse_layer(cur, p, k)
+        if p.spec.activation == "relu":
+            out = out.with_features(np.maximum(out.features, 0))
+        selected = 0 if selection is None else len(selection.rc)
+        records.append(LayerRecord(
+            p, cur.rc, out.n_active, selected, flops_of_rulebook(rb, k.c_in, k.c_out),
+            rb.tuples_per_offset(k.taps), flags,
+        ))
         return out
 
     cur = t
@@ -424,10 +374,10 @@ def run_network(
         output = concat_channels(finals)
     else:
         output = cur
-    return NetworkResult(output, tuple(reports), tuple(traces))
+    return NetworkResult(output, tuple(records))
 
 
-# -- mode overrides and comparison ---------------------------------------------
+# -- mode overrides ---------------------------------------------------------------
 
 
 def with_body_mode(
@@ -478,36 +428,6 @@ def override_topk_percent(spec: NetworkSpec, t: float) -> NetworkSpec:
         StageSpec(s.downsample, tuple(fix(b) for b in s.body)) for s in spec.stages
     )
     return replace(spec, stages=stages)
-
-
-@dataclass(frozen=True)
-class ModeRow:
-    label: str
-    total_flops: int
-    flops_vs_dense: float
-
-
-def compare_modes(
-    t: PillarTensor,
-    spec: NetworkSpec,
-    selective_t: Sequence[float] = (2.0,),
-    weights_seed: int = 0,
-) -> list[ModeRow]:
-    """Total flops for dense / submanifold / selective(t) / full sparse variants."""
-    rows: list[ModeRow] = []
-    dense_total = dense_flops_of_spec(spec)
-    rows.append(ModeRow("dense", dense_total, 1.0))
-    variants: list[tuple[str, NetworkSpec]] = [
-        ("subm", with_body_mode(spec, ConvMode.SUBMANIFOLD)),
-    ]
-    for tv in selective_t:
-        variants.append((f"selective(t={tv:g})", with_body_mode(spec, ConvMode.SELECTIVE, t=tv)))
-    variants.append(("sparse", with_body_mode(spec, ConvMode.SPARSE_FULL)))
-    for label, variant in variants:
-        res = run_network(t, variant, weights_seed=weights_seed)
-        ftotal = total_flops(res.reports)
-        rows.append(ModeRow(label, ftotal, ftotal / dense_total))
-    return rows
 
 
 # -- JSON round-trip ------------------------------------------------------------

@@ -105,23 +105,23 @@ def _resolve_network(args, scene: PillarTensor, t_override: float | None = None)
     return spec
 
 
-def _report_rows(reports) -> list[dict]:
+def _report_rows(records) -> list[dict]:
     return [
         {
             "layer_id": r.layer_id,
-            "kind": r.kind,
-            "mode": r.mode,
-            "out_h": r.out_h,
-            "out_w": r.out_w,
-            "c_in": r.c_in,
-            "c_out": r.c_out,
+            "kind": r.plan.kind,
+            "mode": r.plan.spec.mode.value,
+            "out_h": r.plan.out_h,
+            "out_w": r.plan.out_w,
+            "c_in": r.plan.spec.c_in,
+            "c_out": r.plan.spec.c_out,
             "active_in": r.active_in,
             "active_out": r.active_out,
             "density_out": fmt_float(r.density_out),
             "selected": r.selected,
             "flops": r.flops,
         }
-        for r in reports
+        for r in records
     ]
 
 
@@ -189,8 +189,9 @@ def cmd_run(args) -> int:
     print(f"{'layer':<14}{'kind':<12}{'mode':<11}{'grid':<12}{'act_in':>8}"
           f"{'act_out':>8}{'sel':>7}{'flops':>14}")
     for r in res.reports:
-        print(f"{r.layer_id:<14}{r.kind:<12}{r.mode:<11}"
-              f"{f'{r.out_h}x{r.out_w}':<12}{r.active_in:>8}{r.active_out:>8}"
+        p = r.plan
+        print(f"{p.layer_id:<14}{p.kind:<12}{p.spec.mode.value:<11}"
+              f"{f'{p.out_h}x{p.out_w}':<12}{r.active_in:>8}{r.active_out:>8}"
               f"{r.selected:>7}{r.flops:>14}")
     print(f"total flops {ftotal}  dense flops {dense}  ratio {ftotal / dense:.4f}")
     outputs = []
@@ -218,7 +219,7 @@ def _verify_case(t: PillarTensor, k: Kernel, t_percent: float, tol: float) -> tu
     books = {
         "subm": build_rulebook_subm(t.rc, k, bounds=bounds),
         "sparse": build_rulebook_sparse(t.rc, k, bounds),
-        "selective": build_rulebook_selective(t.rc, sel.selected, k, bounds),
+        "selective": build_rulebook_selective(t.rc, sel.rc, k, bounds),
     }
     worst = 0.0
     for name, rb in books.items():
@@ -316,7 +317,7 @@ def cmd_simulate(args) -> int:
     cfg = AcceleratorConfig(array_rows=args.array_rows, array_cols=args.array_cols,
                             sram_kbytes=args.sram_kb)
     res = run_network(scene, spec, weights_seed=args.weights_seed)
-    net = simulate_network(res.traces, cfg)
+    net = simulate_network(res.reports, cfg)
     print(f"# {CYCLE_NOTE}")
     print(f"{'layer':<14}{'mode':<11}{'mapping':>10}{'gemm':>12}{'stall':>9}"
           f"{'total':>12}{'dense':>12}")
@@ -349,13 +350,13 @@ def cmd_calibrate(args) -> int:
     for path in args.scenes:
         t = load_plt(path)
         tensors.append((path, t))
-        score_sets.append(list(pillar_importance(t, cfg).values()))
+        score_sets.append(pillar_importance(t, cfg).score)
     theta = calibrate_threshold(score_sets, args.t)
     print(f"theta = {fmt_float(theta)} for t = {args.t:g}% "
           f"({args.measure}/{args.aggregate}, pool of {sum(map(len, score_sets))})")
     for path, t in tensors:
         scores = pillar_importance(t, cfg)
-        by_theta = len(select_threshold(scores, theta).selected)
+        by_theta = len(select_threshold(scores, theta).rc)
         by_topk = topk_count(t.n_active, args.t)
         print(f"  {path}: threshold selects {by_theta}, top-k would select {by_topk}")
     if args.out:

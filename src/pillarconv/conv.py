@@ -41,13 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     BadKernelShapeError,
-    FormatError,
     ShapeMismatchError,
     StrideUnsupportedError,
     UnsortedInputError,
@@ -63,7 +62,6 @@ from .tensor import (
     selection_mask,
     sorted_unique,
 )
-from .util import fmt_float
 
 
 # -- kernels -----------------------------------------------------------------
@@ -224,19 +222,6 @@ class Rulebook:
             and np.array_equal(self.w_idx, other.w_idx)
             and np.array_equal(self.out_idx, other.out_idx)
         )
-
-
-def _assemble(
-    triples: list[tuple[int, int, int]],
-    out_coords: list[Coord],
-    out_h: int,
-    out_w: int,
-) -> Rulebook:
-    """Sort (input, weight, output) tuples canonically and freeze them into a Rulebook."""
-    t = np.array(triples, dtype=np.int64).reshape(-1, 3)
-    order = np.lexsort((t[:, 0], t[:, 1], t[:, 2]))
-    t = t[order]
-    return Rulebook(t[:, 0], t[:, 1], t[:, 2], out_coords, out_h, out_w)
 
 
 def _require_stride1(k: Kernel, op: str) -> None:
@@ -477,80 +462,3 @@ def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | N
         dst[: src.shape[0], : src.shape[1]] += src @ weights[wi]
     out += k.bias.astype(np.float64)
     return DenseGrid(out.astype(FEATURE_DTYPE))
-
-
-def dense_conv_reference(g: DenseGrid, k: Kernel) -> DenseGrid:
-    """Scalar-loop reference convolution, small grids only.
-
-    Same math as dense_conv_oracle written as six nested loops, kept as an
-    independent cross-check of the vectorized oracle.
-    """
-    h, w = g.height, g.width
-    if k.stride == 1:
-        out_h, out_w = h, w
-    else:
-        out_h, out_w = (h + 1) // 2, (w + 1) // 2
-    out = np.zeros((out_h, out_w, k.c_out), dtype=np.float64)
-    for orow in range(out_h):
-        for ocol in range(out_w):
-            for wi, (dr, dc) in enumerate(k.offsets):
-                if k.stride == 1:
-                    r, c = orow - dr, ocol - dc
-                else:
-                    r, c = 2 * orow + dr, 2 * ocol + dc
-                if not (0 <= r < h and 0 <= c < w):
-                    continue
-                for ci in range(k.c_in):
-                    v = float(g.data[r, c, ci])
-                    for co in range(k.c_out):
-                        out[orow, ocol, co] += v * float(k.weights[wi, ci, co])
-            for co in range(k.c_out):
-                out[orow, ocol, co] += float(k.bias[co])
-    return DenseGrid(out.astype(FEATURE_DTYPE))
-
-
-# -- KRN v1 text I/O ---------------------------------------------------------
-
-KRN_MAGIC = "KRN v1"
-
-
-def write_krn(k: Kernel, f: TextIO) -> None:
-    """KRN v1: header, one line of c_out weights per (offset, c_in), one bias line."""
-    f.write(f"{KRN_MAGIC} {k.k_h} {k.k_w} {k.c_in} {k.c_out} {k.stride}\n")
-    for w in range(k.taps):
-        for ci in range(k.c_in):
-            f.write(" ".join(fmt_float(v) for v in k.weights[w, ci]) + "\n")
-    f.write(" ".join(fmt_float(v) for v in k.bias) + "\n")
-
-
-def save_krn(k: Kernel, path: str) -> None:
-    with open(path, "w") as f:
-        write_krn(k, f)
-
-
-def read_krn(f: TextIO) -> Kernel:
-    header = f.readline()
-    parts = header.split()
-    if len(parts) != 7 or " ".join(parts[:2]) != KRN_MAGIC:
-        raise FormatError(f"bad KRN header: {header!r}")
-    try:
-        k_h, k_w, c_in, c_out, stride = (int(x) for x in parts[2:])
-    except ValueError as e:
-        raise FormatError(f"bad KRN header numbers: {header!r}") from e
-    weights = np.zeros((k_h * k_w, c_in, c_out), dtype=FEATURE_DTYPE)
-    for w in range(k_h * k_w):
-        for ci in range(c_in):
-            tok = f.readline().split()
-            if len(tok) != c_out:
-                raise FormatError(f"KRN weight line has {len(tok)} values, expected {c_out}")
-            weights[w, ci] = [float(x) for x in tok]
-    tok = f.readline().split()
-    if len(tok) != c_out:
-        raise FormatError(f"KRN bias line has {len(tok)} values, expected {c_out}")
-    bias = np.array([float(x) for x in tok], dtype=FEATURE_DTYPE)
-    return Kernel(k_h, k_w, c_in, c_out, stride, weights, bias)
-
-
-def load_krn(path: str) -> Kernel:
-    with open(path) as f:
-        return read_krn(f)

@@ -51,6 +51,10 @@ class EmptyCalibrationPoolError(PillarConvError):
     """Threshold calibration was given no scores."""
 
 
+class NonFiniteValueError(PillarConvError):
+    """A value that must be finite is NaN or infinite."""
+
+
 class SpecMismatchError(PillarConvError):
     """A network spec is inconsistent with its input or with itself."""
 

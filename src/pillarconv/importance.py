@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .conv import Kernel, build_rulebook_subm
-from .errors import EmptyCalibrationPoolError
+from .errors import EmptyCalibrationPoolError, NonFiniteValueError
 from .tensor import Coord, PillarTensor, as_coords_array, as_tuples, selection_mask
 
 
@@ -51,11 +51,26 @@ class ImportanceConfig:
 
 @dataclass(frozen=True)
 class Selection:
-    """A selected subset of active coordinates plus how it was chosen."""
+    """A selected subset of active coordinates plus how it was chosen.
 
-    selected: frozenset[Coord]
+    `rc` accepts any collection of unique (row, col) pairs and is stored as a
+    read-only row-major sorted (m, 2) int64 array; `selected` is its
+    frozenset view, built on first use.
+    """
+
+    rc: np.ndarray
     topk_percent: float | None = None
     threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        rc = as_coords_array(self.rc)
+        rc = rc[np.lexsort((rc[:, 1], rc[:, 0]))]
+        rc.setflags(write=False)
+        object.__setattr__(self, "rc", rc)
+
+    @cached_property
+    def selected(self) -> frozenset[Coord]:
+        return frozenset(as_tuples(self.rc))
 
 
 _POOL_KERNEL = Kernel(3, 3, 1, 1, 1, np.zeros((9, 1, 1)), np.zeros(1))
@@ -140,13 +155,13 @@ def select_topk(scores: Mapping[Coord, float], t_percent: float) -> Selection:
     rc, score = _score_arrays(scores)
     k = topk_count(score.size, t_percent)
     ranked = np.lexsort((rc[:, 1], rc[:, 0], -score))
-    return Selection(frozenset(as_tuples(rc[ranked[:k]])), topk_percent=t_percent)
+    return Selection(rc[ranked[:k]], topk_percent=t_percent)
 
 
 def select_threshold(scores: Mapping[Coord, float], theta: float) -> Selection:
     """Select every pillar scoring at or above theta."""
     rc, score = _score_arrays(scores)
-    return Selection(frozenset(as_tuples(rc[score >= theta])), threshold=theta)
+    return Selection(rc[score >= theta], threshold=theta)
 
 
 def calibrate_threshold(score_sets: Sequence[Sequence[float]], t_percent: float) -> float:
@@ -155,12 +170,16 @@ def calibrate_threshold(score_sets: Sequence[Sequence[float]], t_percent: float)
     Returns the k-th largest pooled score for k = ceil(t% * N) over the N
     pooled scores, i.e. the smallest score still inside the top t percent.
     t = 0 returns +inf (selects nothing); t >= 100 returns the pool minimum.
+    Raises NonFiniteValueError if any pooled score is NaN or infinite.
     """
     pool = np.concatenate([np.asarray(s, dtype=np.float64) for s in score_sets if len(s)]) \
         if any(len(s) for s in score_sets) else np.zeros(0)
     n = pool.size
     if n == 0:
         raise EmptyCalibrationPoolError("no scores to calibrate from")
+    bad = np.count_nonzero(~np.isfinite(pool))
+    if bad:
+        raise NonFiniteValueError(f"{bad} of {n} pooled scores are not finite")
     k = topk_count(n, t_percent)
     if k == 0:
         return math.inf
@@ -169,15 +188,6 @@ def calibrate_threshold(score_sets: Sequence[Sequence[float]], t_percent: float)
     return float(np.partition(pool, n - k)[n - k])
 
 
-def prune_by_importance(
-    t: PillarTensor, keep_percent: float, cfg: ImportanceConfig | None = None
-) -> PillarTensor:
-    """Keep only the top keep_percent of active pillars by importance."""
-    sel = select_topk(pillar_importance(t, cfg), keep_percent)
-    keep = selection_mask(t.rc, sel.selected)
-    return PillarTensor(t.height, t.width, t.channels, t.rc[keep], t.features[keep])
-
-
 def selection_flags(t: PillarTensor, selection: Selection) -> np.ndarray:
     """Per-entry boolean flags for a selection; raises if not a subset."""
-    return selection_mask(t.rc, selection.selected)
+    return selection_mask(t.rc, selection.rc)

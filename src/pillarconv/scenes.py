@@ -47,6 +47,14 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.height <= 0 or self.width <= 0:
+            raise SpecMismatchError(f"grid {self.height}x{self.width} must have positive dims")
+        if not (math.isfinite(self.density) and self.density >= 0):
+            raise SpecMismatchError(f"density {self.density} must be finite and >= 0")
+        if self.density > 1:
+            raise DensityOverflowError(f"density {self.density} asks for more cells than exist")
+        if not (math.isfinite(self.spread) and self.spread >= 0):
+            raise SpecMismatchError(f"spread {self.spread} must be finite and >= 0")
         if self.pattern not in PATTERNS:
             raise SpecMismatchError(f"unknown pattern {self.pattern!r}, expected {PATTERNS}")
         if self.features not in FEATURE_KINDS:
@@ -124,11 +132,6 @@ def _cells_ring_arcs(rng, spec: SceneSpec, n: int) -> list[int]:
 def generate(spec: SceneSpec) -> PillarTensor:
     """Generate the scene for a spec; same spec -> same tensor, always."""
     n = spec.target_count
-    n_cells = spec.height * spec.width
-    if n > n_cells:
-        raise DensityOverflowError(
-            f"density {spec.density} asks for {n} cells on a {n_cells}-cell grid"
-        )
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     if spec.pattern == "uniform":
         cells = _cells_uniform(rng, spec, n)

@@ -42,7 +42,7 @@ from .errors import (
     SelectionNotSubsetError,
     ShapeMismatchError,
 )
-from .util import fmt_float
+from .util import FLOAT_FORMAT
 
 Coord = tuple[int, int]
 
@@ -184,10 +184,6 @@ class PillarTensor:
         """Coordinate -> entry index lookup."""
         return {c: i for i, c in enumerate(self.coords)}
 
-    def entries(self) -> Iterable[tuple[Coord, np.ndarray]]:
-        for i, c in enumerate(self.coords):
-            yield c, self.features[i]
-
     def with_features(self, features: np.ndarray) -> "PillarTensor":
         """Same active set, new feature values (shape must match)."""
         return PillarTensor(self.height, self.width, self.channels, self.rc, features)
@@ -310,9 +306,9 @@ PLT_MAGIC = "PLT v1"
 
 def write_plt(t: PillarTensor, f: TextIO) -> None:
     f.write(f"{PLT_MAGIC} {t.height} {t.width} {t.channels} {t.n_active}\n")
-    for (r, c), vec in t.entries():
-        vals = " ".join(fmt_float(v) for v in vec)
-        f.write(f"{r} {c} {vals}\n")
+    row = " ".join(["{} {}"] + [FLOAT_FORMAT] * t.channels) + "\n"
+    for rc, vec in zip(t.rc.tolist(), t.features.astype(np.float64).tolist()):
+        f.write(row.format(*rc, *vec))
 
 
 def save_plt(t: PillarTensor, path: str) -> None:

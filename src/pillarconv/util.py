@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import hashlib
 
+FLOAT_FORMAT = "{:.8e}"
+
 
 def fmt_float(x: float) -> str:
     """Format a value with 9 significant digits in scientific notation.
 
-    This is the one float format used in every text output so that files
-    round-trip float32 values exactly and stay byte-stable across runs.
+    This is the one float format (`FLOAT_FORMAT`) used in every text output
+    so that files round-trip float32 values exactly and stay byte-stable
+    across runs.
     """
-    return f"{float(x):.8e}"
+    return FLOAT_FORMAT.format(float(x))
 
 
 def ceil_div(a: int, b: int) -> int:

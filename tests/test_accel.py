@@ -1,5 +1,7 @@
 """Accelerator cycle model: mapping stats, GEMM tiling, stalls, network totals."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,14 @@ from pillarconv.accel import (
     simulate_network,
     stall_cycles,
 )
-from pillarconv.backbone import ConvMode, make_pointpillars, run_network, with_body_mode
+from pillarconv.backbone import (
+    ConvMode,
+    make_pointpillars,
+    network_from_json,
+    network_to_json,
+    run_network,
+    with_body_mode,
+)
 from pillarconv.conv import (
     Kernel,
     build_rulebook_selective,
@@ -190,7 +199,7 @@ def small_result(mode=None, seed=0):
 class TestSimulateLayer:
     def test_dense_layer_is_its_baseline(self):
         res, _ = small_result(mode=ConvMode.DENSE)
-        for tr in res.traces:
+        for tr in res.reports:
             lc = simulate_layer(tr)
             assert lc.mapping == ZERO_MAPPING
             assert lc.stall == 0
@@ -198,28 +207,50 @@ class TestSimulateLayer:
 
     def test_sparse_layer_components_recompute(self):
         res, _ = small_result()
-        by_id = {tr.layer_id: tr for tr in res.traces}
+        by_id = {tr.layer_id: tr for tr in res.reports}
         tr = by_id["s1.body0"]
+        spec = tr.plan.spec
         lc = simulate_layer(tr)
-        assert lc.gemm == gemm_cycles_sparse(tr.n_per_offset, tr.c_in, tr.c_out, CFG)
-        assert lc.stall == stall_cycles(tr.in_coords.shape[0], tr.n_out,
-                                        tr.k_h * tr.k_w, tr.c_in, tr.c_out, CFG)
+        assert lc.gemm == gemm_cycles_sparse(tr.n_per_offset, spec.c_in, spec.c_out, CFG)
+        assert lc.stall == stall_cycles(tr.in_coords.shape[0], tr.active_out,
+                                        spec.k_h * spec.k_w, spec.c_in, spec.c_out, CFG)
         assert lc.total == lc.mapping.cycles + lc.gemm + lc.stall
 
     def test_strided_layers_use_strided_stats(self):
         res, _ = small_result()
-        by_id = {tr.layer_id: tr for tr in res.traces}
+        by_id = {tr.layer_id: tr for tr in res.reports}
         down = simulate_layer(by_id["s1.down"])
         up = simulate_layer(by_id["neck1.up0"])
         assert down.mapping.dilation_check == 0
         assert down.mapping.column_dilation == 0
         assert up.mapping.column_dilation == up.mapping.row_merge
 
+    def test_1x1_layers_stream_each_row_once(self):
+        # a 1x1 layer's band is one input row: every entry is aligned and
+        # merged once, and nothing dilates
+        doc = json.loads(network_to_json(make_pointpillars(height=32, width=24, channels=8)))
+        for stage in doc["stages"]:
+            for layer in stage["body"]:
+                layer["kernel"] = [1, 1]
+        scene = generate(SceneSpec(height=32, width=24, channels=8, density=0.15,
+                                   pattern="clustered", clusters=4, spread=2.0, seed=2))
+        res = run_network(scene, network_from_json(json.dumps(doc)))
+        cfg = AcceleratorConfig(lat_align=2, lat_merge=3)
+        net = simulate_network(res.reports, cfg)
+        body = [(r, lc) for r, lc in zip(res.reports, net.layers) if r.plan.kind == "body"]
+        assert len(body) == 13 and all(r.plan.spec.k_h == 1 for r, _ in body)
+        for rec, lc in body:
+            _, per_row = np.unique(rec.in_coords[:, 0], return_counts=True)
+            n = int(per_row.sum())
+            cycles = int(np.maximum(2 * per_row, 3 * per_row).sum())
+            assert lc.mapping == MappingStats(per_row.size, n, n, 0, 0, cycles)
+        assert sum(lc.mapping.alignment for _, lc in body) > 0
+
 
 class TestSimulateNetwork:
     def test_overlap_formula(self):
         res, _ = small_result()
-        net = simulate_network(res.traces)
+        net = simulate_network(res.reports)
         per = net.layers
         want = per[0].mapping.cycles
         for prev, cur in zip(per, per[1:]):
@@ -233,7 +264,7 @@ class TestSimulateNetwork:
 
     def test_all_dense_network_has_unit_speedup(self):
         res, _ = small_result(mode=ConvMode.DENSE)
-        net = simulate_network(res.traces)
+        net = simulate_network(res.reports)
         assert net.speedup == 1.0
         assert net.ideal_flops_ratio == 1.0
 
@@ -244,7 +275,7 @@ class TestSimulateNetwork:
 
     def test_report_dict_shape(self):
         res, _ = small_result()
-        d = cycles_to_dict(simulate_network(res.traces))
+        d = cycles_to_dict(simulate_network(res.reports))
         assert len(d["layers"]) == 22
         keys = {"layers", "mapping_cycles", "gemm_cycles", "stall_cycles",
                 "total_cycles", "dense_total_cycles", "speedup_vs_dense",

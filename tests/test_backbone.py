@@ -9,7 +9,6 @@ from pillarconv.backbone import (
     NetworkSpec,
     SelectionSpec,
     StageSpec,
-    compare_modes,
     dense_flops_of_spec,
     make_centerpoint_backbone,
     make_pillarnet_neck,
@@ -145,7 +144,7 @@ class TestRunNetwork:
             assert cur.active_in == prev.active_out
         for r in res.reports:
             assert 0 <= r.selected <= r.active_in
-            assert r.density_out == pytest.approx(r.active_out / (r.out_h * r.out_w))
+            assert r.density_out == pytest.approx(r.active_out / (r.plan.out_h * r.plan.out_w))
             assert r.flops > 0
 
     def test_weights_seed_controls_output(self):
@@ -166,16 +165,16 @@ class TestRunNetwork:
 
     def test_traces_expose_simulator_counts(self):
         res = run_network(small_scene(), small_spec())
-        by_id = {tr.layer_id: tr for tr in res.traces}
+        assert res.traces is res.reports
+        by_id = {r.layer_id: r for r in res.reports}
         body = by_id["s1.body0"]
         assert body.flags is not None
-        assert body.flags.shape == (body.in_coords.shape[0],)
+        assert body.flags.shape == (body.active_in,)
         assert body.n_per_offset.sum() > 0
+        assert body.selected == np.count_nonzero(body.flags)
         down = by_id["s1.down"]
         assert down.flags is None
-        for tr, r in zip(res.traces, res.reports):
-            assert tr.n_out == r.active_out
-            assert tr.flops == r.flops
+        assert [r.plan for r in res.reports] == plan_layers(small_spec())
 
     def test_empty_scene_flows_through(self):
         t = generate(SceneSpec(height=32, width=24, channels=8, density=0.0, seed=0))
@@ -237,15 +236,16 @@ class TestOverridesAndComparison:
                 assert p.spec.mode is ConvMode.SPARSE_FULL
 
     def test_compare_modes_orders_flops(self):
-        rows = compare_modes(small_scene(seed=6), small_spec(),
-                             selective_t=(2.0, 20.0))
-        by_label = {r.label: r.total_flops for r in rows}
-        assert rows[0].label == "dense"
-        assert rows[0].flops_vs_dense == 1.0
-        assert by_label["subm"] <= by_label["selective(t=2)"]
-        assert by_label["selective(t=2)"] <= by_label["selective(t=20)"]
-        assert by_label["selective(t=20)"] <= by_label["sparse"]
-        assert by_label["sparse"] <= by_label["dense"]
+        t, spec = small_scene(seed=6), small_spec()
+        variants = [
+            with_body_mode(spec, ConvMode.SUBMANIFOLD),
+            with_body_mode(spec, ConvMode.SELECTIVE, t=2.0),
+            with_body_mode(spec, ConvMode.SELECTIVE, t=20.0),
+            with_body_mode(spec, ConvMode.SPARSE_FULL),
+        ]
+        totals = [total_flops(run_network(t, v).reports) for v in variants]
+        totals.append(dense_flops_of_spec(spec))
+        assert totals == sorted(totals)
 
 
 class TestPresetShapes:

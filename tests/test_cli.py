@@ -19,6 +19,14 @@ def gen_scene(tmp_path, name="scene.plt", seed=3, density="0.15", extra=()):
     return path
 
 
+def put_nan_feature(path):
+    """Overwrite the first feature value of a .plt scene with nan."""
+    lines = path.read_text().splitlines()
+    row = lines[1].split()
+    lines[1] = " ".join(row[:2] + ["nan"] + row[3:])
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestGen:
     def test_deterministic_per_seed(self, tmp_path):
         a = gen_scene(tmp_path, "a.plt", seed=3)
@@ -152,10 +160,7 @@ class TestVerify:
 
     def test_nan_feature_fails(self, tmp_path, capsys):
         scene = gen_scene(tmp_path)
-        lines = scene.read_text().splitlines()
-        row = lines[1].split()
-        lines[1] = " ".join(row[:2] + ["nan"] + row[3:])
-        scene.write_text("\n".join(lines) + "\n")
+        put_nan_feature(scene)
         rc = main(["verify", str(scene), "--seed", "2"])
         assert rc == 1
         out = capsys.readouterr().out
@@ -240,6 +245,15 @@ class TestCalibrate:
         assert float(doc["theta"]) > 0.0
         assert doc["scenes"] == [str(s1), str(s2)]
 
+    def test_nan_score_is_an_error(self, tmp_path, capsys):
+        scene = gen_scene(tmp_path)
+        put_nan_feature(scene)
+        rc = main(["calibrate", str(scene), "--t", "100"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "not finite" in captured.err
+        assert "theta =" not in captured.out
+
 
 class TestErrorsAndUsage:
     def test_missing_scene_file(self, tmp_path, capsys):
@@ -274,6 +288,24 @@ class TestErrorsAndUsage:
         rc = main(["run", str(path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--density", "-0.5"],
+        ["--density", "nan"],
+        ["--density", "1.5"],
+        ["--pattern", "clustered", "--spread", "-1"],
+        ["--height", "-4"],
+        ["--width", "0"],
+    ])
+    def test_bad_gen_spec_reports_error(self, tmp_path, capsys, args):
+        base = {"--height": "24", "--width": "24", "--density": "0.15"}
+        base.update(zip(args[::2], args[1::2]))
+        rc = main(["gen", "--channels", "8", "--out", str(tmp_path / "s.plt"),
+                   *[tok for kv in base.items() for tok in kv]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "s.plt").exists()
 
     def test_indivisible_grid_reports_error(self, tmp_path, capsys):
         path = tmp_path / "odd.plt"

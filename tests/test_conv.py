@@ -1,12 +1,10 @@
-"""Rulebook construction, execution, dense oracles, and kernel I/O.
+"""Rulebook construction, execution, and dense oracles.
 
 Offset convention under test everywhere: for stride 1 a tuple (i, w, o)
 means coord(o) - coord(i) == offsets[w], with offsets enumerated row-major
 from (-pad_h, -pad_w). The 2x2 stride-2 forms use i = 2*o + delta for
 downsampling and o = 2*i + delta for the transposed direction.
 """
-
-import io
 
 import numpy as np
 import pytest
@@ -19,16 +17,12 @@ from pillarconv.conv import (
     build_rulebook_sparse,
     build_rulebook_subm,
     dense_conv_oracle,
-    dense_conv_reference,
     dense_deconv_oracle,
     execute_rulebook,
     flops_of_rulebook,
-    read_krn,
-    write_krn,
 )
 from pillarconv.errors import (
     BadKernelShapeError,
-    FormatError,
     SelectionNotSubsetError,
     ShapeMismatchError,
     StrideUnsupportedError,
@@ -36,7 +30,7 @@ from pillarconv.errors import (
 )
 from pillarconv.importance import pillar_importance, select_topk
 from pillarconv.scenes import SceneSpec, generate
-from pillarconv.tensor import DenseGrid, from_entries
+from pillarconv.tensor import FEATURE_DTYPE, DenseGrid, from_entries
 
 
 def scene(h, w, c, density, seed):
@@ -97,6 +91,36 @@ class TestKernel:
         out = execute_rulebook(rb, t, k)
         assert out.coords == t.coords
         assert np.array_equal(out.features, t.features)
+
+
+def dense_conv_reference(g: DenseGrid, k: Kernel) -> DenseGrid:
+    """Scalar-loop reference convolution, small grids only.
+
+    Same math as dense_conv_oracle written as six nested loops, kept as an
+    independent cross-check of the vectorized oracle.
+    """
+    h, w = g.height, g.width
+    if k.stride == 1:
+        out_h, out_w = h, w
+    else:
+        out_h, out_w = (h + 1) // 2, (w + 1) // 2
+    out = np.zeros((out_h, out_w, k.c_out), dtype=np.float64)
+    for orow in range(out_h):
+        for ocol in range(out_w):
+            for wi, (dr, dc) in enumerate(k.offsets):
+                if k.stride == 1:
+                    r, c = orow - dr, ocol - dc
+                else:
+                    r, c = 2 * orow + dr, 2 * ocol + dc
+                if not (0 <= r < h and 0 <= c < w):
+                    continue
+                for ci in range(k.c_in):
+                    v = float(g.data[r, c, ci])
+                    for co in range(k.c_out):
+                        out[orow, ocol, co] += v * float(k.weights[wi, ci, co])
+            for co in range(k.c_out):
+                out[orow, ocol, co] += float(k.bias[co])
+    return DenseGrid(out.astype(FEATURE_DTYPE))
 
 
 class TestDenseOracles:
@@ -419,36 +443,3 @@ class TestFlops:
         k = Kernel.seeded(3, 3, 1, 1, 1, seed=0)
         rb = build_rulebook_sparse((), k, (4, 4))
         assert flops_of_rulebook(rb, 16, 16) == 0
-
-
-class TestKrnFormat:
-    def test_round_trip_exact(self):
-        k = Kernel.seeded(3, 3, 2, 3, 1, seed=13, bias_scale=0.4)
-        buf = io.StringIO()
-        write_krn(k, buf)
-        buf.seek(0)
-        back = read_krn(buf)
-        assert (back.k_h, back.k_w, back.c_in, back.c_out, back.stride) == \
-               (k.k_h, k.k_w, k.c_in, k.c_out, k.stride)
-        assert np.array_equal(back.weights, k.weights)
-        assert np.array_equal(back.bias, k.bias)
-
-    def test_stride2_round_trip(self):
-        k = Kernel.seeded(2, 2, 3, 2, 2, seed=14, bias_scale=0.1)
-        buf = io.StringIO()
-        write_krn(k, buf)
-        buf.seek(0)
-        back = read_krn(buf)
-        assert np.array_equal(back.weights, k.weights)
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(FormatError):
-            read_krn(io.StringIO("KRN v2 3 3 1 1 1\n"))
-
-    def test_truncated_rejected(self):
-        k = Kernel.seeded(3, 3, 2, 2, 1, seed=0)
-        buf = io.StringIO()
-        write_krn(k, buf)
-        text = "".join(buf.getvalue().splitlines(keepends=True)[:-2])
-        with pytest.raises(FormatError):
-            read_krn(io.StringIO(text))

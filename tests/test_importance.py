@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from pillarconv.errors import EmptyCalibrationPoolError, SelectionNotSubsetError
+from pillarconv.errors import (
+    EmptyCalibrationPoolError,
+    NonFiniteValueError,
+    SelectionNotSubsetError,
+)
 from pillarconv.importance import (
     Aggregate,
     ImportanceConfig,
     Measure,
     calibrate_threshold,
     pillar_importance,
-    prune_by_importance,
     select_threshold,
     select_topk,
     selection_flags,
@@ -111,6 +114,8 @@ class TestSelectTopk:
         sel = select_topk(scores, 50.0)
         assert sel.selected == frozenset({(0, 1), (1, 0)})
         assert sel.topk_percent == 50.0
+        # the array form is row-major sorted, not in rank order
+        assert sel.rc.tolist() == [[0, 1], [1, 0]]
 
     def test_zero_percent_selects_nothing(self):
         sel = select_topk(self.make_scores(10), 0.0)
@@ -179,6 +184,11 @@ class TestCalibrateThreshold:
         with pytest.raises(EmptyCalibrationPoolError):
             calibrate_threshold([[], []], 10.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            calibrate_threshold([[1.0, 2.0], [bad]], 50.0)
+
     def test_threshold_matches_topk_on_the_calibration_set(self):
         rng = np.random.Generator(np.random.Philox(key=9))
         for t in (1.0, 5.0, 20.0, 50.0):
@@ -202,11 +212,3 @@ class TestSelectionFlags:
 
         with pytest.raises(SelectionNotSubsetError):
             selection_flags(t, Selection(frozenset({(5, 5)})))
-
-
-class TestPrune:
-    def test_keeps_top_fraction(self):
-        t = tensor_with([((0, 0), [1.0]), ((1, 1), [9.0]), ((2, 2), [5.0]), ((3, 3), [7.0])])
-        kept = prune_by_importance(t, 50.0)
-        assert kept.coords == ((1, 1), (3, 3))
-        assert kept.features.tolist() == [[9.0], [7.0]]

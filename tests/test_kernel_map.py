@@ -31,6 +31,7 @@ from pillarconv.conv import (
     build_rulebook_subm,
     execute_rulebook,
 )
+from pillarconv.importance import Selection
 from pillarconv.scenes import SceneSpec, generate
 from pillarconv.tensor import FEATURE_DTYPE, PillarTensor, load_plt, save_plt
 
@@ -331,7 +332,7 @@ def test_load_run_simulate_builds_no_coordinate_tuples(tmp_path, monkeypatch, mo
         raise AssertionError("a coordinate tuple view was built")
 
     for cls, name in ((PillarTensor, "coords"), (PillarTensor, "index_of"),
-                      (Rulebook, "output_coords")):
+                      (Rulebook, "output_coords"), (Selection, "selected")):
         monkeypatch.setattr(cls, name, property(refuse))
     res = run_network(load_plt(str(path)), spec)
     net = simulate_network(res.traces)

@@ -18,7 +18,8 @@ planned layer plus what running it found out (input coordinates, output
 count, selected count, flops, tuples per kernel offset, dilation flags).
 Reports, FLOPs totals and the cycle simulator all read these records. Layer
 weights are seeded pseudorandom (Philox) unless explicit kernels are
-supplied; biases default to zero.
+supplied; biases default to zero. Seeded kernels are built once per shape and
+seed and kept, read-only, in an LRU cache of `KERNEL_CACHE_SIZE` entries.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -266,11 +268,20 @@ def dense_flops_of_spec(spec: NetworkSpec) -> int:
 # -- execution ----------------------------------------------------------------
 
 
+# Seeded kernels kept across runs: a preset's 22 layers for a few weight seeds.
+KERNEL_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _seeded_kernel(k_h: int, k_w: int, c_in: int, c_out: int, stride: int, seed: int) -> Kernel:
+    # Kernels are frozen with read-only float32 arrays, so runs can share them.
+    return Kernel.seeded(k_h, k_w, c_in, c_out, stride, seed=seed)
+
+
 def _layer_kernel(p: PlannedLayer, ordinal: int, weights_seed: int) -> Kernel:
     child = (weights_seed * 1_000_003 + ordinal) % (1 << 63)
-    return Kernel.seeded(
-        p.spec.k_h, p.spec.k_w, p.spec.c_in, p.spec.c_out, p.spec.stride, seed=child
-    )
+    s = p.spec
+    return _seeded_kernel(s.k_h, s.k_w, s.c_in, s.c_out, s.stride, child)
 
 
 def _run_sparse_layer(

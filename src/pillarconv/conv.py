@@ -32,6 +32,30 @@ execution accumulates in exactly that order per output, so results are
 bit-for-bit reproducible. Products accumulate in float64 and round to float32
 once at the end.
 
+Cache-sized accumulation. Both executors keep their float64 accumulator in
+tiles of at most `ACC_BYTES`: the dense oracles in tiles of output rows, the
+sparse executor in blocks of consecutive outputs. A tile is zeroed, receives
+every kernel offset's products in tap order, gets the bias and is rounded
+straight into the float32 result, so no full-grid float64 array exists and
+each accumulator stays in cache across its offsets. Tiling changes no bit:
+
+* per-output tap order: every output still sums its products in ascending
+  offset order, starting from +0.0, and adds the bias last. The transposed
+  oracle computes (+0.0 + product) + bias, so a -0.0 product cannot meet a
+  -0.0 bias (seeded zero biases hold some) and leave -0.0 behind;
+* per-row GEMM: a dense tile makes, for each of its rows and offsets, the
+  same BLAS call the whole-grid form makes for that row (same row count,
+  strides and operands), because numpy runs a 3-D matmul as one GEMM per
+  leading index. Out-of-grid taps are skipped, never multiplied by padding,
+  so the tile height cannot change a bit;
+* blocked sparse GEMMs: a block runs one GEMM per offset over its own
+  tuples instead of one over all tuples of the offset, which is exact only
+  while a GEMM row does not depend on how many rows the call has. OpenBLAS
+  sums full column panels that way, but edge columns and single rows (which
+  numpy hands to GEMV) in other orders. So outputs are blocked only when
+  c_out is a multiple of `PANEL`, and a one-tuple segment of a longer
+  offset runs as a two-row GEMM.
+
 FLOPs convention: flops = 2 * n_tuples * c_in * c_out + n_outputs * c_out.
 Every multiply-accumulate counts as two operations and every output entry
 pays one bias add per channel, whether or not the bias is zero.
@@ -47,6 +71,7 @@ import numpy as np
 
 from .errors import (
     BadKernelShapeError,
+    NonFiniteValueError,
     ShapeMismatchError,
     StrideUnsupportedError,
     UnsortedInputError,
@@ -104,6 +129,8 @@ class Kernel:
             )
         if b.shape != (self.c_out,):
             raise ShapeMismatchError(f"bias shape {b.shape}, expected ({self.c_out},)")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise NonFiniteValueError("kernel weights and bias must be finite")
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -131,7 +158,9 @@ class Kernel:
     @cached_property
     def offset_array(self) -> np.ndarray:
         """(2, taps) int64: row offsets, then column offsets, in weight order."""
-        return np.array(self.offsets, dtype=np.int64).T.copy()
+        a = np.array(self.offsets, dtype=np.int64).T.copy()
+        a.setflags(write=False)
+        return a
 
     @staticmethod
     def seeded(
@@ -372,12 +401,24 @@ def build_rulebook_selective(
 
 # -- execution ---------------------------------------------------------------
 
+# Float64 accumulator bytes per dense tile or sparse block, about one core's
+# L2 cache; a constant, so no caller can make tiling part of a result.
+ACC_BYTES = 2 << 20
+# BLAS column-panel width: sparse blocking is exact for c_out a multiple of it
+PANEL = 8
+
+
+def _tile_len(row_values: int) -> int:
+    """Rows of `row_values` float64s that fit in ACC_BYTES, at least one."""
+    return max(1, ACC_BYTES // (8 * max(1, row_values)))
+
 
 def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
     """Run gather-multiply-scatter over the rulebook.
 
     Accumulates in float64 in canonical tuple order per output, adds bias,
-    rounds to float32. Output tensor lives on the rulebook's output grid.
+    rounds to float32, one block of outputs at a time (see the module
+    docstring). Output tensor lives on the rulebook's output grid.
     """
     if t.channels != k.c_in:
         raise ShapeMismatchError(f"input has {t.channels} channels, kernel wants {k.c_in}")
@@ -386,22 +427,39 @@ def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
             raise ShapeMismatchError("rulebook input index out of range for this tensor")
         if int(rb.w_idx.max()) >= k.taps:
             raise ShapeMismatchError("rulebook weight index out of range for this kernel")
-    acc = np.zeros((rb.n_outputs, k.c_out), dtype=np.float64)
+    n_out, taps = rb.n_outputs, k.taps
+    block = _tile_len(k.c_out) if k.c_out % PANEL == 0 else max(1, n_out)
+    n_blocks = -(-n_out // block)
     feats = t.features.astype(np.float64)
     weights = k.weights.astype(np.float64)
-    # One segment per offset, in canonical order within it. An offset adds at
-    # most once to any output, so a plain fancy-index add equals np.add.at,
-    # and ascending offsets keep the canonical accumulation order per output.
-    by_offset = np.argsort(rb.w_idx.astype(np.min_scalar_type(k.taps)), kind="stable")
-    ends = np.cumsum(np.bincount(rb.w_idx, minlength=k.taps))
+    bias = k.bias.astype(np.float64)
+    # One stable sort groups tuples by (block, offset); within a group they
+    # stay in canonical order, and a plain fancy-index add equals np.add.at
+    # because an offset adds at most once to any output.
+    key = rb.out_idx // block * taps + rb.w_idx
+    order = np.argsort(key.astype(np.min_scalar_type(n_blocks * taps)), kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=n_blocks * taps)).tolist()
+    per_offset = rb.tuples_per_offset(taps).tolist()
+    out = np.empty((n_out, k.c_out), dtype=FEATURE_DTYPE)
+    acc = np.empty((min(block, n_out), k.c_out))
     start = 0
-    for w, end in enumerate(ends.tolist()):
-        seg = by_offset[start:end]
-        start = end
-        if seg.size:
-            acc[rb.out_idx[seg]] += feats[rb.in_idx[seg]] @ weights[w]
-    acc += k.bias.astype(np.float64)
-    out = acc.astype(FEATURE_DTYPE)
+    for lo in range(0, n_out, block):
+        a = acc[: min(block, n_out - lo)]
+        a.fill(0.0)
+        for w in range(taps):
+            end = ends[lo // block * taps + w]
+            if end == start:
+                continue
+            seg = order[start:end]
+            start = end
+            x = feats[rb.in_idx[seg]]
+            if seg.size == 1 < per_offset[w]:
+                p = (x.repeat(2, axis=0) @ weights[w])[:1]
+            else:
+                p = x @ weights[w]
+            a[rb.out_idx[seg] - lo] += p
+        a += bias
+        out[lo : lo + a.shape[0]] = a
     return PillarTensor(rb.out_height, rb.out_width, k.c_out, rb.output_rc, out)
 
 
@@ -419,46 +477,86 @@ def dense_conv_oracle(g: DenseGrid, k: Kernel) -> DenseGrid:
     Stride 1: same padding, out[o] = sum_w in[o - offset(w)] @ W[w] + bias.
     Stride 2 (2x2): out[(R, C)] = sum_{dr,dc} in[(2R+dr, 2C+dc)] @ W + bias
     on a ceil(h/2) x ceil(w/2) grid. No sparsity shortcuts: every output
-    position is computed.
+    position is computed, one tile of output rows at a time.
     """
     if g.channels != k.c_in:
         raise ShapeMismatchError(f"grid has {g.channels} channels, kernel wants {k.c_in}")
     h, w = g.height, g.width
-    data = g.data.astype(np.float64)
+    step = k.stride
+    out_h, out_w = -(-h // step), -(-w // step)
+    # input rows a tile of output rows [r0, r1) reads: [r0 - halo, r1 + halo)
+    # at stride 1, [2 r0, 2 r1) at stride 2
+    halo = k.k_h // 2 if step == 1 else 0
     weights = k.weights.astype(np.float64)
-    if k.stride == 1:
-        out = np.zeros((h, w, k.c_out), dtype=np.float64)
+    bias = k.bias.astype(np.float64)
+    out = np.empty((out_h, out_w, k.c_out), dtype=FEATURE_DTYPE)
+    rows = min(max(1, out_h), _tile_len(out_w * k.c_out))
+    acc = np.empty((rows, out_w, k.c_out))
+    buf = np.empty_like(acc)
+    x = np.empty((step * rows + 2 * halo, w, k.c_in))
+    for r0 in range(0, out_h, rows):
+        r1 = min(out_h, r0 + rows)
+        base = max(0, step * r0 - halo)
+        xs = x[: min(h, step * r1 + halo) - base]
+        xs[...] = g.data[base : base + xs.shape[0]]
+        tile = acc[: r1 - r0]
+        tile.fill(0.0)
         for wi, (dr, dc) in enumerate(k.offsets):
-            # output rows R with R - dr inside the grid
-            r0, r1 = max(0, dr), min(h, h + dr)
-            c0, c1 = max(0, dc), min(w, w + dc)
-            if r0 >= r1 or c0 >= c1:
+            if step == 1:
+                # output rows R with R - dr inside the grid, clipped to the tile
+                t0, t1 = max(r0, dr), min(r1, h + dr)
+                c0, c1 = max(0, dc), min(w, w + dc)
+                if t0 >= t1 or c0 >= c1:
+                    continue
+                src = xs[t0 - dr - base : t1 - dr - base, c0 - dc : c1 - dc]
+            else:
+                t0, c0 = r0, 0
+                src = xs[dr::2, dc::2]
+            if src.shape[0] == 0 or src.shape[1] == 0:
                 continue
-            src = data[r0 - dr : r1 - dr, c0 - dc : c1 - dc]
-            out[r0:r1, c0:c1] += src @ weights[wi]
-    else:
-        out_h, out_w = (h + 1) // 2, (w + 1) // 2
-        out = np.zeros((out_h, out_w, k.c_out), dtype=np.float64)
-        for wi, (dr, dc) in enumerate(k.offsets):
-            src = data[dr::2, dc::2]
-            out[: src.shape[0], : src.shape[1]] += src @ weights[wi]
-    out += k.bias.astype(np.float64)
-    return DenseGrid(out.astype(FEATURE_DTYPE))
+            prod = buf[: src.shape[0], : src.shape[1]]
+            np.matmul(src, weights[wi], out=prod)
+            tile[t0 - r0 : t0 - r0 + prod.shape[0], c0 : c0 + prod.shape[1]] += prod
+        tile += bias
+        out[r0:r1] = tile
+    return DenseGrid(out)
 
 
 def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | None = None) -> DenseGrid:
-    """Dense 2x2 stride-2 transposed convolution (default output 2h x 2w)."""
+    """Dense 2x2 stride-2 transposed convolution (default output 2h x 2w).
+
+    out[(2r + dr, 2c + dc)] = (+0.0 + in[(r, c)] @ W[(dr, dc)]) + bias, clipped
+    to `out_bounds`; positions no input reaches hold +0.0 + bias. Runs one
+    tile of input rows at a time; each tap's GEMM result goes straight to the
+    tile's output rows 2r + dr, columns 2c + dc (a strided view).
+    """
     if g.channels != k.c_in:
         raise ShapeMismatchError(f"grid has {g.channels} channels, kernel wants {k.c_in}")
     if (k.k_h, k.k_w, k.stride) != (2, 2, 2):
         raise BadKernelShapeError("deconv oracle needs a 2x2 stride-2 kernel")
     out_h, out_w = out_bounds or (2 * g.height, 2 * g.width)
-    data = g.data.astype(np.float64)
     weights = k.weights.astype(np.float64)
-    out = np.zeros((out_h, out_w, k.c_out), dtype=np.float64)
-    for wi, (dr, dc) in enumerate(k.offsets):
-        dst = out[dr::2, dc::2]
-        src = data[: dst.shape[0], : dst.shape[1]]
-        dst[: src.shape[0], : src.shape[1]] += src @ weights[wi]
-    out += k.bias.astype(np.float64)
-    return DenseGrid(out.astype(FEATURE_DTYPE))
+    bias = k.bias.astype(np.float64)
+    out = np.empty((out_h, out_w, k.c_out), dtype=FEATURE_DTYPE)
+    if out_h > 2 * g.height or out_w > 2 * g.width:
+        out[...] = (np.zeros(k.c_out) + bias).astype(FEATURE_DTYPE)
+    # input rows and columns that reach the output grid
+    in_h, in_w = min(g.height, (out_h + 1) // 2), min(g.width, (out_w + 1) // 2)
+    rows = min(max(1, in_h), _tile_len(in_w * k.c_out))
+    x = np.empty((rows, in_w, k.c_in))
+    buf = np.empty((rows, in_w, k.c_out))
+    for r0 in range(0, in_h, rows):
+        xs = x[: min(in_h, r0 + rows) - r0]
+        xs[...] = g.data[r0 : r0 + xs.shape[0], :in_w]
+        tile = out[2 * r0 : 2 * (r0 + xs.shape[0])]
+        for wi, (dr, dc) in enumerate(k.offsets):
+            dst = tile[dr::2, dc::2]
+            src = xs[: dst.shape[0], : dst.shape[1]]
+            if src.shape[0] == 0 or src.shape[1] == 0:
+                continue
+            prod = buf[: src.shape[0], : src.shape[1]]
+            np.matmul(src, weights[wi], out=prod)
+            prod += 0.0
+            prod += bias
+            dst[: prod.shape[0], : prod.shape[1]] = prod
+    return DenseGrid(out)

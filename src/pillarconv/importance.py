@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .conv import Kernel, build_rulebook_subm
-from .errors import EmptyCalibrationPoolError, NonFiniteValueError
+from .errors import EmptyCalibrationPoolError, NonFiniteValueError, SpecMismatchError
 from .tensor import Coord, PillarTensor, as_coords_array, as_tuples, selection_mask
 
 
@@ -142,7 +142,12 @@ def pillar_importance(t: PillarTensor, cfg: ImportanceConfig | None = None) -> S
 
 
 def topk_count(n: int, t_percent: float) -> int:
-    """Number of pillars selected at t percent out of n: ceil(t% * n), clamped."""
+    """Number of pillars selected at t percent out of n: ceil(t% * n), clamped.
+
+    t <= 0 counts none. Raises NonFiniteValueError for a NaN or infinite t.
+    """
+    if not math.isfinite(t_percent):
+        raise NonFiniteValueError(f"top-k percent must be finite, got {t_percent}")
     if n == 0 or t_percent <= 0:
         return 0
     # tiny slack so exact products like 50% of 4 do not ceil up on float noise
@@ -150,8 +155,15 @@ def topk_count(n: int, t_percent: float) -> int:
     return max(1, min(n, k))
 
 
+def _require_percent(t_percent: float) -> None:
+    """Selections take a top-k percent >= 0 (topk_count rejects non-finite ones)."""
+    if t_percent < 0:
+        raise SpecMismatchError(f"top-k percent must be >= 0, got {t_percent}")
+
+
 def select_topk(scores: Mapping[Coord, float], t_percent: float) -> Selection:
     """Select the top ceil(t% * n) scores, ties broken by (row, col) ascending."""
+    _require_percent(t_percent)
     rc, score = _score_arrays(scores)
     k = topk_count(score.size, t_percent)
     ranked = np.lexsort((rc[:, 1], rc[:, 0], -score))
@@ -170,8 +182,10 @@ def calibrate_threshold(score_sets: Sequence[Sequence[float]], t_percent: float)
     Returns the k-th largest pooled score for k = ceil(t% * N) over the N
     pooled scores, i.e. the smallest score still inside the top t percent.
     t = 0 returns +inf (selects nothing); t >= 100 returns the pool minimum.
-    Raises NonFiniteValueError if any pooled score is NaN or infinite.
+    Raises NonFiniteValueError if any pooled score or t is NaN or infinite,
+    and SpecMismatchError for a negative t.
     """
+    _require_percent(t_percent)
     pool = np.concatenate([np.asarray(s, dtype=np.float64) for s in score_sets if len(s)]) \
         if any(len(s) for s in score_sets) else np.zeros(0)
     n = pool.size

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pillarconv import backbone
 from pillarconv.backbone import (
     ConvMode,
     LayerSpec,
@@ -23,6 +24,7 @@ from pillarconv.backbone import (
     validate_network,
     with_body_mode,
 )
+from pillarconv.conv import Kernel
 from pillarconv.errors import SpecMismatchError
 from pillarconv.scenes import SceneSpec, generate
 
@@ -180,6 +182,39 @@ class TestRunNetwork:
         t = generate(SceneSpec(height=32, width=24, channels=8, density=0.0, seed=0))
         res = run_network(t, small_spec())
         assert res.output.n_active == 0
+
+
+class TestKernelCache:
+    def test_second_run_is_byte_identical(self):
+        t = small_scene()
+        a = run_network(t, small_spec(), weights_seed=5)
+        b = run_network(t, small_spec(), weights_seed=5)
+        assert a.output.features.tobytes() == b.output.features.tobytes()
+        assert np.array_equal(a.output.rc, b.output.rc)
+
+    def test_cached_kernel_equals_a_fresh_seeded_one(self):
+        plan = plan_layers(small_spec())
+        for ordinal, p in enumerate(plan):
+            cached = backbone._layer_kernel(p, ordinal, 9)
+            assert backbone._layer_kernel(p, ordinal, 9) is cached
+            child = (9 * 1_000_003 + ordinal) % (1 << 63)
+            s = p.spec
+            fresh = Kernel.seeded(s.k_h, s.k_w, s.c_in, s.c_out, s.stride, seed=child)
+            assert cached.weights.dtype == np.float32
+            assert cached.weights.tobytes() == fresh.weights.tobytes()
+            assert cached.bias.tobytes() == fresh.bias.tobytes()
+            assert not cached.weights.flags.writeable and not cached.bias.flags.writeable
+
+    def test_weights_seed_selects_other_kernels(self):
+        p = plan_layers(small_spec())[1]
+        a = backbone._layer_kernel(p, 1, 3)
+        b = backbone._layer_kernel(p, 1, 4)
+        assert a.weights.tobytes() != b.weights.tobytes()
+
+    def test_cache_size_is_the_module_constant(self):
+        assert backbone._seeded_kernel.cache_info().maxsize == backbone.KERNEL_CACHE_SIZE
+        # one preset's kernels fit with room for another seed's
+        assert backbone.KERNEL_CACHE_SIZE >= 2 * len(plan_layers(small_spec()))
 
 
 class TestModeEquivalences:

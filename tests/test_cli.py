@@ -3,11 +3,18 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pillarconv
 from pillarconv.cli import main
 from pillarconv.tensor import load_plt
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def gen_scene(tmp_path, name="scene.plt", seed=3, density="0.15", extra=()):
@@ -315,3 +322,33 @@ class TestErrorsAndUsage:
         rc = main(["run", str(path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+    def test_bad_topk_percent_reports_error(self, tmp_path, capsys, command, t):
+        scene = gen_scene(tmp_path)
+        capsys.readouterr()
+        assert main([command, str(scene), "--t", t]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("mode", ["dense", "selective"])
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path, mode):
+        # fresh processes: OpenBLAS reads its thread count when it loads
+        src = str(Path(pillarconv.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}.plt"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run(
+                [sys.executable, "-m", "pillarconv.cli", "run",
+                 str(GOLDENS / "pointpillars_scene.plt"), "--network", "pointpillars",
+                 "--weights-seed", "0", "--mode", mode, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

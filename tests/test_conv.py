@@ -6,9 +6,16 @@ from (-pad_h, -pad_w). The 2x2 stride-2 forms use i = 2*o + delta for
 downsampling and o = 2*i + delta for the transposed direction.
 """
 
+import itertools
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pillarconv import conv
 from pillarconv.conv import (
     Kernel,
     build_rulebook_deconv2x2,
@@ -23,6 +30,7 @@ from pillarconv.conv import (
 )
 from pillarconv.errors import (
     BadKernelShapeError,
+    NonFiniteValueError,
     SelectionNotSubsetError,
     ShapeMismatchError,
     StrideUnsupportedError,
@@ -84,6 +92,16 @@ class TestKernel:
         c = Kernel.seeded(3, 3, 4, 5, 1, seed=12, bias_scale=0.2)
         assert not np.array_equal(a.weights, c.weights)
 
+    @pytest.mark.parametrize("where,value", [
+        ("weights", np.nan), ("weights", np.inf), ("bias", -np.inf), ("bias", np.nan),
+    ])
+    def test_non_finite_values_rejected(self, where, value):
+        w = np.ones((9, 2, 3), dtype=np.float32)
+        b = np.zeros(3, dtype=np.float32)
+        (w if where == "weights" else b).flat[1] = value
+        with pytest.raises(NonFiniteValueError):
+            Kernel(3, 3, 2, 3, 1, w, b)
+
     def test_identity_passes_features_through(self):
         t = scene(6, 6, 4, 0.3, seed=1)
         k = Kernel.identity(4)
@@ -121,6 +139,181 @@ def dense_conv_reference(g: DenseGrid, k: Kernel) -> DenseGrid:
             for co in range(k.c_out):
                 out[orow, ocol, co] += float(k.bias[co])
     return DenseGrid(out.astype(FEATURE_DTYPE))
+
+
+def per_tap_conv_reference(g: DenseGrid, k: Kernel) -> DenseGrid:
+    """The whole-grid dense oracle the tiled one replaced, kept as a bitwise reference.
+
+    One float64 grid, one strided GEMM-and-add per tap over every row at
+    once, then the bias and a single rounding to float32.
+    """
+    h, w = g.height, g.width
+    data = g.data.astype(np.float64)
+    weights = k.weights.astype(np.float64)
+    if k.stride == 1:
+        out = np.zeros((h, w, k.c_out), dtype=np.float64)
+        for wi, (dr, dc) in enumerate(k.offsets):
+            r0, r1 = max(0, dr), min(h, h + dr)
+            c0, c1 = max(0, dc), min(w, w + dc)
+            if r0 >= r1 or c0 >= c1:
+                continue
+            src = data[r0 - dr : r1 - dr, c0 - dc : c1 - dc]
+            out[r0:r1, c0:c1] += src @ weights[wi]
+    else:
+        out_h, out_w = (h + 1) // 2, (w + 1) // 2
+        out = np.zeros((out_h, out_w, k.c_out), dtype=np.float64)
+        for wi, (dr, dc) in enumerate(k.offsets):
+            src = data[dr::2, dc::2]
+            out[: src.shape[0], : src.shape[1]] += src @ weights[wi]
+    out += k.bias.astype(np.float64)
+    return DenseGrid(out.astype(FEATURE_DTYPE))
+
+
+def per_tap_deconv_reference(g: DenseGrid, k: Kernel, out_bounds=None) -> DenseGrid:
+    """The whole-grid transposed oracle the tiled one replaced, kept as a bitwise reference."""
+    out_h, out_w = out_bounds or (2 * g.height, 2 * g.width)
+    data = g.data.astype(np.float64)
+    weights = k.weights.astype(np.float64)
+    out = np.zeros((out_h, out_w, k.c_out), dtype=np.float64)
+    for wi, (dr, dc) in enumerate(k.offsets):
+        dst = out[dr::2, dc::2]
+        src = data[: dst.shape[0], : dst.shape[1]]
+        dst[: src.shape[0], : src.shape[1]] += src @ weights[wi]
+    out += k.bias.astype(np.float64)
+    return DenseGrid(out.astype(FEATURE_DTYPE))
+
+
+def grid_data(rng, h, w, c):
+    """float32 values over six decades, with some +0.0 and -0.0 entries."""
+    data = rng.standard_normal((h, w, c)) * 10.0 ** rng.integers(-3, 4, (h, w, c))
+    data[rng.random((h, w, c)) < 0.15] = 0.0
+    data[rng.random((h, w, c)) < 0.1] = -0.0
+    return data.astype(FEATURE_DTYPE)
+
+
+def order_revealing_rows(c_in: int) -> np.ndarray:
+    """float32 rows whose products with weights of 1 + 2**-12 expose summation order.
+
+    Each row holds one big entry and two tiny ones, in every placement. The
+    big product lies on a float32 rounding midpoint; each tiny product is
+    below half a float64 ulp of it, the two together above. Added one at a
+    time after the big one they vanish and float32 rounds the midpoint to
+    even; added together first, or before it, they round it up. A GEMM that
+    sums its K terms in another order therefore changes float32 bits, which
+    ordinary data almost never shows.
+    """
+    rows = []
+    for big in range(c_in):
+        for a, b in itertools.combinations([i for i in range(c_in) if i != big], 2):
+            x = np.zeros(c_in, dtype=FEATURE_DTYPE)
+            x[big] = 1 + 2.0**-12
+            x[a] = x[b] = 1.25 * 2.0**-54
+            rows.append(x)
+    return np.array(rows)
+
+
+def order_revealing_kernel(k_h, k_w, c_in, c_out, stride=1) -> Kernel:
+    w = np.full((k_h * k_w, c_in, c_out), 1 + 2.0**-12, dtype=FEATURE_DTYPE)
+    return Kernel(k_h, k_w, c_in, c_out, stride, w, np.zeros(c_out, dtype=FEATURE_DTYPE))
+
+
+# accumulator budgets: one row per tile, a few rows, and the production size
+BUDGETS = st.sampled_from([8, 512, 4096, conv.ACC_BYTES])
+ORACLE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestTiledOraclesBitwise:
+    """The tiled oracles equal the whole-grid per-tap ones byte for byte."""
+
+    @ORACLE_SETTINGS
+    @given(st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([(1, 1, 1), (3, 1, 1), (5, 3, 1), (3, 3, 1), (2, 2, 2)]),
+           st.integers(1, 5), st.sampled_from([1, 2, 3, 5, 8, 16]),
+           st.booleans(), BUDGETS, st.integers(0, 2**31 - 1))
+    def test_conv(self, h, w, kshape, c_in, c_out, zero_bias, budget, seed):
+        rng = np.random.default_rng(seed)
+        g = DenseGrid(grid_data(rng, h, w, c_in))
+        k = Kernel.seeded(*kshape[:2], c_in, c_out, kshape[2], seed=seed,
+                          bias_scale=0.0 if zero_bias else 0.5)
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            got = dense_conv_oracle(g, k)
+        assert got.data.tobytes() == per_tap_conv_reference(g, k).data.tobytes()
+
+    @ORACLE_SETTINGS
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(-3, 3), st.integers(-3, 3),
+           st.booleans(), st.integers(1, 5), st.sampled_from([1, 2, 3, 5, 8, 16]),
+           st.booleans(), BUDGETS, st.integers(0, 2**31 - 1))
+    def test_deconv(self, h, w, dh, dw, default_bounds, c_in, c_out, zero_bias, budget, seed):
+        rng = np.random.default_rng(seed)
+        g = DenseGrid(grid_data(rng, h, w, c_in))
+        k = Kernel.seeded(2, 2, c_in, c_out, 2, seed=seed,
+                          bias_scale=0.0 if zero_bias else 0.5)
+        # clipped, odd or padded output bounds around the 2h x 2w default
+        bounds = None if default_bounds else (max(1, 2 * h + dh), max(1, 2 * w + dw))
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            got = dense_deconv_oracle(g, k, bounds)
+        want = per_tap_deconv_reference(g, k, bounds)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_seeded_zero_bias_holds_negative_zero(self):
+        # the case the +0.0 start exists for: -0.0 products and -0.0 biases
+        k = Kernel.seeded(2, 2, 3, 16, 2, seed=1)
+        assert np.signbit(k.bias).any() and not k.bias.any()
+        g = DenseGrid(np.zeros((3, 4, 3), dtype=FEATURE_DTYPE))
+        out = dense_deconv_oracle(g, k, (5, 9))
+        assert not np.signbit(out.data).any()
+        assert out.data.tobytes() == per_tap_deconv_reference(g, k, (5, 9)).data.tobytes()
+
+    @pytest.mark.parametrize("h,w,kshape", [(40, 64, (3, 3, 1)), (37, 64, (5, 3, 1)),
+                                            (81, 129, (2, 2, 2))])
+    def test_several_production_tiles_tall(self, h, w, kshape):
+        # 256 float64 channels: 2 KB per column, so each tile holds a few rows
+        rng = np.random.default_rng(h)
+        g = DenseGrid(grid_data(rng, h, w, 3))
+        k = Kernel.seeded(kshape[0], kshape[1], 3, 256, kshape[2], seed=2, bias_scale=0.1)
+        out_w = -(-w // kshape[2])
+        assert -(-g.height // kshape[2]) > 2 * conv.ACC_BYTES // (8 * out_w * 256)
+        got = dense_conv_oracle(g, k)
+        assert got.data.tobytes() == per_tap_conv_reference(g, k).data.tobytes()
+
+    def test_deconv_several_production_tiles_tall(self):
+        rng = np.random.default_rng(3)
+        g = DenseGrid(grid_data(rng, 70, 33, 4))
+        k = Kernel.seeded(2, 2, 4, 256, 2, seed=3, bias_scale=0.1)
+        for bounds in (None, (139, 65)):
+            got = dense_deconv_oracle(g, k, bounds)
+            want = per_tap_deconv_reference(g, k, bounds)
+            assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("c_out", [3, 12, 64])
+    @pytest.mark.parametrize("budget", [8, 4096, conv.ACC_BYTES])
+    def test_same_summation_order(self, c_out, budget):
+        # 14880 order-revealing pixels: a GEMM call of another shape, which
+        # for some widths sums in another order, would change output bits
+        g = DenseGrid(order_revealing_rows(32).reshape(120, 124, 32))
+        k = order_revealing_kernel(1, 1, 32, c_out)
+        up = order_revealing_kernel(2, 2, 32, c_out, stride=2)
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            conv_out = dense_conv_oracle(g, k)
+            deconv_out = dense_deconv_oracle(g, up, (239, 248))
+        assert conv_out.data.tobytes() == per_tap_conv_reference(g, k).data.tobytes()
+        want = per_tap_deconv_reference(g, up, (239, 248))
+        assert deconv_out.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_no_full_grid_float64_array(self, stride):
+        # a float64 copy of the output grid alone would be twice its float32 size
+        g = DenseGrid(np.ones((128, 128, 2), dtype=FEATURE_DTYPE))
+        oracle = dense_conv_oracle if stride == 1 else dense_deconv_oracle
+        size = 3 if stride == 1 else 2
+        k = Kernel.seeded(size, size, 2, 256, stride, seed=0)
+        tracemalloc.start()
+        try:
+            out = oracle(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + 3 * conv.ACC_BYTES + g.data.nbytes
 
 
 class TestDenseOracles:

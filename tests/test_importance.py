@@ -9,6 +9,7 @@ from pillarconv.errors import (
     EmptyCalibrationPoolError,
     NonFiniteValueError,
     SelectionNotSubsetError,
+    SpecMismatchError,
 )
 from pillarconv.importance import (
     Aggregate,
@@ -101,6 +102,18 @@ class TestTopkCount:
     ])
     def test_frozen_values(self, n, t, want):
         assert topk_count(n, t) == want
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_non_finite_percent_rejected(self, n, t):
+        with pytest.raises(NonFiniteValueError):
+            topk_count(n, t)
+
+    def test_selections_reject_a_negative_percent(self):
+        with pytest.raises(SpecMismatchError):
+            select_topk({(0, 0): 1.0}, -1.0)
+        with pytest.raises(SpecMismatchError):
+            calibrate_threshold([[1.0, 2.0]], -0.5)
 
 
 class TestSelectTopk:

@@ -7,6 +7,7 @@ shows up as a mismatch.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pillarconv.accel import (
     mapping_stats_strided,
     simulate_network,
 )
+from pillarconv import conv
 from pillarconv.backbone import ConvMode, make_pointpillars, run_network, with_body_mode
 from pillarconv.conv import (
     Kernel,
@@ -34,6 +36,7 @@ from pillarconv.conv import (
 from pillarconv.importance import Selection
 from pillarconv.scenes import SceneSpec, generate
 from pillarconv.tensor import FEATURE_DTYPE, PillarTensor, load_plt, save_plt
+from test_conv import order_revealing_kernel, order_revealing_rows
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -312,6 +315,58 @@ class TestExecution:
         want = execute_add_at(rb, t, k)
         assert out.features.tobytes() == want.tobytes()
         assert np.array_equal(out.rc, rb.output_rc)
+
+    @SETTINGS
+    @given(grids(), st.sampled_from(["subm", "sparse", "selective", "down", "deconv"]),
+           st.sampled_from([1, 3, 5, 16, 64]), st.sampled_from([1, 3, 8, 16, 64]),
+           st.sampled_from([8, 64, 512, 4096]), st.integers(0, 2**31 - 1))
+    def test_outputs_in_several_blocks(self, grid, mode, c_in, c_out, budget, seed):
+        # budgets of one to a few dozen outputs per block split every rulebook
+        h, w, active = grid
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((len(active), c_in)).astype(FEATURE_DTYPE)
+        t = PillarTensor(h, w, c_in, active, feats)
+        if mode in ("down", "deconv"):
+            k = kernel(2, 2, 2, c_in, c_out, seed)
+            rb = (build_rulebook_downsample2x2(active, k, (h, w)) if mode == "down"
+                  else build_rulebook_deconv2x2(active, k, (2 * h, 2 * w)))
+        else:
+            k = kernel(3, 3, 1, c_in, c_out, seed)
+            rb = {"subm": lambda: build_rulebook_subm(active, k, bounds=(h, w)),
+                  "sparse": lambda: build_rulebook_sparse(active, k, (h, w)),
+                  "selective": lambda: build_rulebook_selective(active, active[1::2], k, (h, w)),
+                  }[mode]()
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            out = execute_rulebook(rb, t, k)
+        assert out.features.tobytes() == execute_add_at(rb, t, k).tobytes()
+
+    @pytest.mark.parametrize("c_out", [3, 8, 12, 64])
+    @pytest.mark.parametrize("budget", [64, 4096, conv.ACC_BYTES])
+    def test_blocks_keep_summation_order(self, c_out, budget):
+        # order-revealing features: a product computed by a GEMM call that sums
+        # in another order (GEMV for one row, other edge kernels for some
+        # widths) changes output bits; at budget 64 a block holds one output
+        # for c_out = 8, so every segment has one tuple of a longer offset
+        rows = order_revealing_rows(32)
+        active = [(r, c) for r in range(120) for c in range(124)]
+        t = PillarTensor(120, 124, 32, active, rows)
+        k = order_revealing_kernel(1, 1, 32, c_out)
+        rb = build_rulebook_subm(active, k, bounds=(120, 124))
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            out = execute_rulebook(rb, t, k)
+        assert out.features.tobytes() == execute_add_at(rb, t, k).tobytes()
+
+    def test_production_blocks(self):
+        # 64 float64 channels: 4096 outputs per block, so ~6k outputs make two
+        rng = np.random.default_rng(11)
+        active = sorted(map(tuple, np.argwhere(rng.random((80, 80)) < 0.5).tolist()))
+        t = PillarTensor(80, 80, 32, active,
+                         rng.standard_normal((len(active), 32)).astype(FEATURE_DTYPE))
+        k = kernel(3, 3, 1, 32, 64, seed=11)
+        rb = build_rulebook_sparse(active, k, (80, 80))
+        assert rb.n_outputs > conv.ACC_BYTES // (8 * 64)
+        out = execute_rulebook(rb, t, k)
+        assert out.features.tobytes() == execute_add_at(rb, t, k).tobytes()
 
 
 # -- the production path stays on arrays ----------------------------------------------

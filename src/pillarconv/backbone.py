@@ -13,13 +13,17 @@ full sparse (dilating), submanifold (active set preserved), or selective
 selection picked). Selection happens per layer on the layer's input tensor.
 Downsample and deconv layers are either dense or sparse.
 
-`run_network` returns the final tensor and one `LayerRecord` per layer: the
-planned layer plus what running it found out (input coordinates, output
-count, selected count, flops, tuples per kernel offset, dilation flags).
-Reports, FLOPs totals and the cycle simulator all read these records. Layer
-weights are seeded pseudorandom (Philox) unless explicit kernels are
-supplied; biases default to zero. Seeded kernels are built once per shape and
-seed and kept, read-only, in an LRU cache of `KERNEL_CACHE_SIZE` entries.
+One walk over the plan feeds every layer its input: trunk layers read the
+previous trunk output, a neck chain starts at its stage's output.
+`validate_network` checks channels and grids along it and `run_network` runs
+each layer along it. `run_network` returns the final tensor and one
+`LayerRecord` per layer: the planned layer plus what running it found out
+(input coordinates, output count, selected count, flops, tuples per kernel
+offset, dilation flags). Reports, FLOPs totals and the cycle simulator all
+read these records. Layer weights are seeded pseudorandom (Philox) unless
+explicit kernels are supplied; biases default to zero. Seeded kernels are
+built once per shape and seed and kept, read-only, in an LRU cache of
+`KERNEL_CACHE_SIZE` entries.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -57,6 +61,8 @@ from .importance import (
     selection_flags,
 )
 from .tensor import DenseGrid, PillarTensor, concat_channels, from_dense
+
+_T = TypeVar("_T")
 
 
 class ConvMode(str, Enum):
@@ -177,6 +183,23 @@ def plan_layers(spec: NetworkSpec) -> list[PlannedLayer]:
     return plan
 
 
+def _walk(
+    plan: Sequence[PlannedLayer], x: _T, step: Callable[[_T, PlannedLayer, int], _T]
+) -> tuple[_T, dict[int, _T]]:
+    """Feed every planned layer its input; `step(input, layer, ordinal)` returns its output.
+
+    The first layer reads `x`. Returns the last trunk output and each stage's
+    tip, in stage order: the end of its neck chain, or its output without one.
+    """
+    trunk, tips = x, {}
+    for ordinal, p in enumerate(plan):
+        if p.kind == "deconv":
+            tips[p.stage] = step(tips[p.stage], p, ordinal)
+        else:
+            trunk = tips[p.stage] = step(trunk, p, ordinal)
+    return trunk, tips
+
+
 def validate_network(spec: NetworkSpec) -> None:
     """Check structural consistency; raises SpecMismatchError."""
     if not spec.stages:
@@ -185,10 +208,9 @@ def validate_network(spec: NetworkSpec) -> None:
         raise SpecMismatchError(
             f"neck has {len(spec.neck)} chains for {len(spec.stages)} stages"
         )
-    # per stage: (channels, out_h, out_w) where its trunk, then its neck chain, ends
-    c_trunk = spec.channels
-    tip: dict[int, tuple[int, int, int]] = {}
-    for p in plan_layers(spec):
+
+    def check(x: tuple[int, int, int], p: PlannedLayer, _: int) -> tuple[int, int, int]:
+        # x and the result are (channels, height, width) of a layer's input and output
         layer = p.spec
         if p.kind == "body":
             if layer.stride != 1:
@@ -198,15 +220,14 @@ def validate_network(spec: NetworkSpec) -> None:
                 raise SpecMismatchError(f"{p.layer_id} must be 2x2 stride-2")
             if layer.mode in (ConvMode.SUBMANIFOLD, ConvMode.SELECTIVE):
                 raise SpecMismatchError(f"{p.layer_id} cannot run mode {layer.mode.value}")
-        c = tip[p.stage][0] if p.kind == "deconv" else c_trunk
-        if layer.c_in != c:
-            raise SpecMismatchError(f"{p.layer_id} c_in {layer.c_in}, expected {c}")
-        if p.kind != "deconv":
-            c_trunk = layer.c_out
-        tip[p.stage] = (layer.c_out, p.out_h, p.out_w)
+        if layer.c_in != x[0]:
+            raise SpecMismatchError(f"{p.layer_id} c_in {layer.c_in}, expected {x[0]}")
+        return layer.c_out, p.out_h, p.out_w
+
+    _, tips = _walk(plan_layers(spec), (spec.channels, spec.height, spec.width), check)
     if spec.neck:
         # every chain must land on one grid
-        grids = {(h, w) for _, h, w in tip.values()}
+        grids = {(h, w) for _, h, w in tips.values()}
         if len(grids) > 1:
             raise SpecMismatchError(f"neck chains end on different grids: {sorted(grids)}")
         # exact doubling needs every halving to be even
@@ -284,45 +305,51 @@ def _layer_kernel(p: PlannedLayer, ordinal: int, weights_seed: int) -> Kernel:
     return _seeded_kernel(s.k_h, s.k_w, s.c_in, s.c_out, s.stride, child)
 
 
-def _run_sparse_layer(
-    t: PillarTensor, p: PlannedLayer, k: Kernel
-) -> tuple[PillarTensor, Rulebook, Selection | None, np.ndarray | None]:
-    """Build the rulebook for one layer and execute it."""
-    mode = p.spec.mode
+def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTensor, LayerRecord]:
+    """Run one planned layer on its input with kernel `k` and record what it found out."""
+    s = p.spec
+    if (k.k_h, k.k_w, k.c_in, k.c_out, k.stride) != (s.k_h, s.k_w, s.c_in, s.c_out, s.stride):
+        raise SpecMismatchError(f"kernel for {p.layer_id} does not match its spec")
+    rb: Rulebook | None = None
     selection: Selection | None = None
     flags: np.ndarray | None = None
-    if p.kind == "downsample":
-        rb = build_rulebook_downsample2x2(t.rc, k, (p.in_h, p.in_w))
-    elif p.kind == "deconv":
-        rb = build_rulebook_deconv2x2(t.rc, k, (p.out_h, p.out_w))
-    elif mode is ConvMode.SUBMANIFOLD:
-        rb = build_rulebook_subm(t.rc, k, bounds=(p.in_h, p.in_w))
-        flags = np.zeros(t.n_active, dtype=bool)
-    elif mode is ConvMode.SPARSE_FULL:
-        rb = build_rulebook_sparse(t.rc, k, (p.in_h, p.in_w))
-        flags = np.ones(t.n_active, dtype=bool)
-    elif mode is ConvMode.SELECTIVE:
-        sel_spec = p.spec.selection
-        scores = pillar_importance(t, sel_spec.importance)
-        selection = sel_spec.select(scores)
-        rb = build_rulebook_selective(t.rc, selection.rc, k, (p.in_h, p.in_w))
-        flags = selection_flags(t, selection)
+    if s.mode is ConvMode.DENSE:
+        grid = t.to_dense()
+        if p.kind == "deconv":
+            dense = dense_deconv_oracle(grid, k, (p.out_h, p.out_w))
+        else:
+            dense = dense_conv_oracle(grid, k)
+        # keep `dense` until from_dense returns: dropping the pre-ReLU grid
+        # earlier lowers live memory but raised kitti-dense peak RSS ~30 MB
+        data = np.maximum(dense.data, 0) if s.activation == "relu" else dense.data
+        out = from_dense(DenseGrid(data))
     else:
-        raise SpecMismatchError(f"mode {mode} cannot run as a sparse layer")
-    out = execute_rulebook(rb, t, k)
-    return out, rb, selection, flags
-
-
-def _run_dense_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> PillarTensor:
-    grid = t.to_dense()
-    if p.kind == "deconv":
-        out = dense_deconv_oracle(grid, k, (p.out_h, p.out_w))
-    else:
-        out = dense_conv_oracle(grid, k)
-    data = out.data
-    if p.spec.activation == "relu":
-        data = np.maximum(data, 0)
-    return from_dense(DenseGrid(data))
+        if p.kind == "downsample":
+            rb = build_rulebook_downsample2x2(t.rc, k, (p.in_h, p.in_w))
+        elif p.kind == "deconv":
+            rb = build_rulebook_deconv2x2(t.rc, k, (p.out_h, p.out_w))
+        elif s.mode is ConvMode.SUBMANIFOLD:
+            rb = build_rulebook_subm(t.rc, k, bounds=(p.in_h, p.in_w))
+            flags = np.zeros(t.n_active, dtype=bool)
+        elif s.mode is ConvMode.SPARSE_FULL:
+            rb = build_rulebook_sparse(t.rc, k, (p.in_h, p.in_w))
+            flags = np.ones(t.n_active, dtype=bool)
+        elif s.mode is ConvMode.SELECTIVE:
+            selection = s.selection.select(pillar_importance(t, s.selection.importance))
+            rb = build_rulebook_selective(t.rc, selection.rc, k, (p.in_h, p.in_w))
+            flags = selection_flags(t, selection)
+        else:
+            raise SpecMismatchError(f"mode {s.mode} cannot run as a sparse layer")
+        out = execute_rulebook(rb, t, k)
+        if s.activation == "relu":
+            out = out.with_features(np.maximum(out.features, 0))
+    return out, LayerRecord(
+        p, t.rc, out.n_active,
+        0 if selection is None else len(selection.rc),
+        p.dense_flops if rb is None else flops_of_rulebook(rb, k.c_in, k.c_out),
+        None if rb is None else rb.tuples_per_offset(k.taps),
+        flags,
+    )
 
 
 def run_network(
@@ -346,49 +373,32 @@ def run_network(
     if weights is not None and len(weights) != len(plan):
         raise SpecMismatchError(f"got {len(weights)} kernels for {len(plan)} layers")
     records: list[LayerRecord] = []
-    stage_out: dict[int, PillarTensor] = {}
 
-    def run_one(cur: PillarTensor, p: PlannedLayer, ordinal: int) -> PillarTensor:
+    def step(x: PillarTensor, p: PlannedLayer, ordinal: int) -> PillarTensor:
         k = weights[ordinal] if weights is not None else _layer_kernel(p, ordinal, weights_seed)
-        if (k.k_h, k.k_w, k.c_in, k.c_out, k.stride) != (
-            p.spec.k_h, p.spec.k_w, p.spec.c_in, p.spec.c_out, p.spec.stride
-        ):
-            raise SpecMismatchError(f"kernel for {p.layer_id} does not match its spec")
-        if p.spec.mode is ConvMode.DENSE:
-            out = _run_dense_layer(cur, p, k)
-            records.append(LayerRecord(p, cur.rc, out.n_active, 0, p.dense_flops, None, None))
-            return out
-        out, rb, selection, flags = _run_sparse_layer(cur, p, k)
-        if p.spec.activation == "relu":
-            out = out.with_features(np.maximum(out.features, 0))
-        selected = 0 if selection is None else len(selection.rc)
-        records.append(LayerRecord(
-            p, cur.rc, out.n_active, selected, flops_of_rulebook(rb, k.c_in, k.c_out),
-            rb.tuples_per_offset(k.taps), flags,
-        ))
+        out, record = _run_layer(x, p, k)
+        records.append(record)
         return out
 
-    cur = t
-    n_trunk = sum(1 for p in plan if p.kind != "deconv")
-    for ordinal, p in enumerate(plan[:n_trunk]):
-        cur = run_one(cur, p, ordinal)
-        stage_out[p.stage] = cur
-    # neck chains branch from their stage outputs; deconvs are a plan suffix
-    chain_tip: dict[int, PillarTensor] = {}
-    for ordinal, p in enumerate(plan[n_trunk:], start=n_trunk):
-        src = chain_tip.get(p.stage, stage_out[p.stage])
-        chain_tip[p.stage] = run_one(src, p, ordinal)
-    if spec.neck:
-        finals = [
-            chain_tip.get(si, stage_out[si]) for si in range(1, len(spec.stages) + 1)
-        ]
-        output = concat_channels(finals)
-    else:
-        output = cur
+    trunk, tips = _walk(plan, t, step)
+    output = concat_channels(list(tips.values())) if spec.neck else trunk
     return NetworkResult(output, tuple(records))
 
 
 # -- mode overrides ---------------------------------------------------------------
+
+
+def _map_layers(
+    spec: NetworkSpec,
+    body: Callable[[LayerSpec], LayerSpec],
+    strided: Callable[[LayerSpec], LayerSpec],
+) -> NetworkSpec:
+    """Clone a spec with `body` applied to every body layer and `strided` to the rest."""
+    stages = tuple(
+        StageSpec(strided(s.downsample), tuple(body(b) for b in s.body)) for s in spec.stages
+    )
+    neck = tuple(tuple(strided(d) for d in chain) for chain in spec.neck)
+    return replace(spec, stages=stages, neck=neck)
 
 
 def with_body_mode(
@@ -402,29 +412,17 @@ def with_body_mode(
     DENSE also forces downsample and deconv layers dense; other modes leave
     them sparse. For SELECTIVE, `t` (top-k percent) applies to every layer.
     """
-    def conv_layer(layer: LayerSpec) -> LayerSpec:
-        if mode is ConvMode.SELECTIVE:
-            sel = layer.selection or SelectionSpec()
-            if t is not None:
-                sel = replace(sel, kind="topk", t=t, theta=None)
-            if importance is not None:
-                sel = replace(sel, importance=importance)
-            return replace(layer, mode=mode, selection=sel)
-        return replace(layer, mode=mode, selection=None)
+    def body(layer: LayerSpec) -> LayerSpec:
+        if mode is not ConvMode.SELECTIVE:
+            return replace(layer, mode=mode, selection=None)
+        sel = layer.selection or SelectionSpec()
+        if importance is not None:
+            sel = replace(sel, importance=importance)
+        return replace(layer, mode=mode, selection=sel)
 
-    def strided_layer(layer: LayerSpec) -> LayerSpec:
-        target = ConvMode.DENSE if mode is ConvMode.DENSE else ConvMode.SPARSE_FULL
-        return replace(layer, mode=target, selection=None)
-
-    stages = tuple(
-        StageSpec(
-            strided_layer(s.downsample),
-            tuple(conv_layer(b) for b in s.body),
-        )
-        for s in spec.stages
-    )
-    neck = tuple(tuple(strided_layer(d) for d in chain) for chain in spec.neck)
-    return replace(spec, stages=stages, neck=neck)
+    target = ConvMode.DENSE if mode is ConvMode.DENSE else ConvMode.SPARSE_FULL
+    spec = _map_layers(spec, body, lambda layer: replace(layer, mode=target, selection=None))
+    return spec if t is None else override_topk_percent(spec, t)
 
 
 def override_topk_percent(spec: NetworkSpec, t: float) -> NetworkSpec:
@@ -435,10 +433,7 @@ def override_topk_percent(spec: NetworkSpec, t: float) -> NetworkSpec:
         sel = replace(layer.selection or SelectionSpec(), kind="topk", t=t, theta=None)
         return replace(layer, selection=sel)
 
-    stages = tuple(
-        StageSpec(s.downsample, tuple(fix(b) for b in s.body)) for s in spec.stages
-    )
-    return replace(spec, stages=stages)
+    return _map_layers(spec, fix, fix)
 
 
 # -- JSON round-trip ------------------------------------------------------------
@@ -543,12 +538,17 @@ def _body(mode: ConvMode, c: int, n: int, sel: SelectionSpec | None) -> tuple[La
     )
 
 
-def _down(c_in: int, c_out: int) -> LayerSpec:
+def _strided(c_in: int, c_out: int) -> LayerSpec:
+    """A sparse 2x2 stride-2 layer: a stage's downsample or one step of a neck chain."""
     return LayerSpec(mode=ConvMode.SPARSE_FULL, c_in=c_in, c_out=c_out, k_h=2, k_w=2, stride=2)
 
 
-def _up(c_in: int, c_out: int) -> LayerSpec:
-    return LayerSpec(mode=ConvMode.SPARSE_FULL, c_in=c_in, c_out=c_out, k_h=2, k_w=2, stride=2)
+# The presets' neck: stage k (64, 128, 256 channels) doubles k times to 128 channels.
+_NECK = (
+    (_strided(64, 128),),
+    (_strided(128, 128), _strided(128, 128)),
+    (_strided(256, 128), _strided(128, 128), _strided(128, 128)),
+)
 
 
 def make_pointpillars(
@@ -561,16 +561,11 @@ def make_pointpillars(
     """Three-stage pillar backbone with selective body layers and a 384-channel neck."""
     sel = SelectionSpec(kind="topk", t=t, importance=importance or ImportanceConfig())
     stages = (
-        StageSpec(_down(channels, 64), _body(ConvMode.SELECTIVE, 64, 3, sel)),
-        StageSpec(_down(64, 128), _body(ConvMode.SELECTIVE, 128, 5, sel)),
-        StageSpec(_down(128, 256), _body(ConvMode.SELECTIVE, 256, 5, sel)),
+        StageSpec(_strided(channels, 64), _body(ConvMode.SELECTIVE, 64, 3, sel)),
+        StageSpec(_strided(64, 128), _body(ConvMode.SELECTIVE, 128, 5, sel)),
+        StageSpec(_strided(128, 256), _body(ConvMode.SELECTIVE, 256, 5, sel)),
     )
-    neck = (
-        (_up(64, 128),),
-        (_up(128, 128), _up(128, 128)),
-        (_up(256, 128), _up(128, 128), _up(128, 128)),
-    )
-    return NetworkSpec("pointpillars", height, width, channels, stages, neck)
+    return NetworkSpec("pointpillars", height, width, channels, stages, _NECK)
 
 
 def make_centerpoint_backbone(
@@ -595,16 +590,11 @@ def make_pillarnet_neck(
     """Submanifold encoder stages feeding a selective final stage."""
     sel = SelectionSpec(kind="topk", t=t, importance=importance or ImportanceConfig())
     stages = (
-        StageSpec(_down(channels, 64), _body(ConvMode.SUBMANIFOLD, 64, 2, None)),
-        StageSpec(_down(64, 128), _body(ConvMode.SUBMANIFOLD, 128, 2, None)),
-        StageSpec(_down(128, 256), _body(ConvMode.SELECTIVE, 256, 4, sel)),
+        StageSpec(_strided(channels, 64), _body(ConvMode.SUBMANIFOLD, 64, 2, None)),
+        StageSpec(_strided(64, 128), _body(ConvMode.SUBMANIFOLD, 128, 2, None)),
+        StageSpec(_strided(128, 256), _body(ConvMode.SELECTIVE, 256, 4, sel)),
     )
-    neck = (
-        (_up(64, 128),),
-        (_up(128, 128), _up(128, 128)),
-        (_up(256, 128), _up(128, 128), _up(128, 128)),
-    )
-    return NetworkSpec("pillarnet-neck", height, width, channels, stages, neck)
+    return NetworkSpec("pillarnet-neck", height, width, channels, stages, _NECK)
 
 
 NETWORK_PRESETS: dict[str, Callable[..., NetworkSpec]] = {

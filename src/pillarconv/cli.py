@@ -34,7 +34,6 @@ from .backbone import (
     NetworkSpec,
     dense_flops_of_spec,
     network_from_json,
-    network_to_json,
     override_topk_percent,
     preset_network,
     run_network,
@@ -99,8 +98,8 @@ def _resolve_network(args, scene: PillarTensor, t_override: float | None = None)
             channels=scene.channels,
         )
     if getattr(args, "mode", None):
-        spec = with_body_mode(spec, ConvMode(args.mode), t=t_override)
-    elif t_override is not None:
+        spec = with_body_mode(spec, ConvMode(args.mode))
+    if t_override is not None:
         spec = override_topk_percent(spec, t_override)
     return spec
 
@@ -268,18 +267,16 @@ def cmd_verify(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
-def _sweep_case(payload: tuple[str, str, float, int]) -> tuple[float, int, int]:
-    scene_path, net_json, t_percent, weights_seed = payload
-    scene = load_plt(scene_path)
-    spec = override_topk_percent(network_from_json(net_json), t_percent)
-    res = run_network(scene, spec, weights_seed=weights_seed)
+def _sweep_case(payload: tuple[PillarTensor, NetworkSpec, float, int]) -> tuple[float, int, int]:
+    scene, spec, t_percent, weights_seed = payload
+    res = run_network(scene, override_topk_percent(spec, t_percent), weights_seed=weights_seed)
     return t_percent, total_flops(res.reports), res.output.n_active
 
 
 def cmd_sweep(args) -> int:
     scene = load_plt(args.scene)
     spec = _resolve_network(args, scene)
-    payloads = [(args.scene, network_to_json(spec), tv, args.weights_seed) for tv in args.t]
+    payloads = [(scene, spec, tv, args.weights_seed) for tv in args.t]
     if args.jobs > 1:
         from multiprocessing import Pool
 
@@ -345,17 +342,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = ImportanceConfig(Measure(args.measure), Aggregate(args.aggregate))
-    score_sets = []
-    tensors = []
+    scored = []
     for path in args.scenes:
         t = load_plt(path)
-        tensors.append((path, t))
-        score_sets.append(pillar_importance(t, cfg).score)
+        scored.append((path, t, pillar_importance(t, cfg)))
+    score_sets = [scores.score for _, _, scores in scored]
     theta = calibrate_threshold(score_sets, args.t)
     print(f"theta = {fmt_float(theta)} for t = {args.t:g}% "
           f"({args.measure}/{args.aggregate}, pool of {sum(map(len, score_sets))})")
-    for path, t in tensors:
-        scores = pillar_importance(t, cfg)
+    for path, t, scores in scored:
         by_theta = len(select_threshold(scores, theta).rc)
         by_topk = topk_count(t.n_active, args.t)
         print(f"  {path}: threshold selects {by_theta}, top-k would select {by_topk}")

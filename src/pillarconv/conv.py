@@ -170,18 +170,15 @@ class Kernel:
         c_out: int,
         stride: int = 1,
         seed: int = 0,
-        scale: float | None = None,
         bias_scale: float = 0.0,
     ) -> "Kernel":
         """Deterministic pseudorandom kernel (Philox counter-based stream).
 
-        Weights are normal with std 1/sqrt(taps * c_in) unless `scale` is
-        given; bias is normal * bias_scale (zero bias by default).
+        Weights are normal with std 1/sqrt(taps * c_in); bias is normal *
+        bias_scale (zero bias by default).
         """
         rng = np.random.Generator(np.random.Philox(key=seed))
-        if scale is None:
-            scale = 1.0 / np.sqrt(k_h * k_w * c_in)
-        w = rng.standard_normal((k_h * k_w, c_in, c_out)) * scale
+        w = rng.standard_normal((k_h * k_w, c_in, c_out)) * (1.0 / np.sqrt(k_h * k_w * c_in))
         b = rng.standard_normal(c_out) * bias_scale
         return Kernel(k_h, k_w, c_in, c_out, stride, w, b)
 

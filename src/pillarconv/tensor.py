@@ -361,6 +361,9 @@ def read_plt(f: TextIO) -> PillarTensor:
         raise FormatError(f"bad PLT header numbers: {header!r}") from e
     if c < 0 or n < 0:
         raise FormatError(f"bad PLT header: negative count in {header!r}")
+    # numpy sizes, clips and compares with these; beyond int64 it raises raw errors
+    if max(abs(h), abs(w), c, n) > np.iinfo(np.int64).max:
+        raise FormatError(f"bad PLT header: count beyond the int64 range in {header!r}")
     lines = f.read().split("\n")
     n_lines = len(lines) - (lines[-1] == "")  # a final newline ends the last line
     body, rest = lines[: min(n, n_lines)], lines[n:]

@@ -304,3 +304,29 @@ class TestPresetShapes:
         assert all(b.mode is ConvMode.SUBMANIFOLD for b in spec.stages[0].body)
         assert all(b.mode is ConvMode.SUBMANIFOLD for b in spec.stages[1].body)
         assert all(b.mode is ConvMode.SELECTIVE for b in spec.stages[2].body)
+
+
+class TestActivation:
+    @staticmethod
+    def one_stage(mode, activation):
+        strided = ConvMode.DENSE if mode is ConvMode.DENSE else ConvMode.SPARSE_FULL
+        down = LayerSpec(mode=strided, c_in=8, c_out=16, k_h=2, k_w=2, stride=2)
+        body = LayerSpec(mode=mode, c_in=16, c_out=16, activation=activation)
+        return NetworkSpec("act", 32, 24, 8, (StageSpec(down, (body,)),), ())
+
+    @pytest.mark.parametrize("mode", [ConvMode.SPARSE_FULL, ConvMode.DENSE])
+    def test_none_keeps_negative_features_and_relu_does_not(self, mode):
+        t = small_scene()
+        none = run_network(t, self.one_stage(mode, "none")).output
+        relu = run_network(t, self.one_stage(mode, "relu")).output
+        assert (none.features < 0).any()
+        assert (relu.features >= 0).all()
+        if mode is ConvMode.SPARSE_FULL:
+            assert np.array_equal(relu.rc, none.rc)
+            assert np.array_equal(relu.features, np.maximum(none.features, 0))
+
+    def test_none_round_trips_through_json(self):
+        spec = self.one_stage(ConvMode.SUBMANIFOLD, "none")
+        back = network_from_json(network_to_json(spec))
+        assert back == spec
+        assert back.stages[0].body[0].activation == "none"

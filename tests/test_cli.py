@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import pillarconv
+import pillarconv.cli
 from pillarconv.cli import main
+from pillarconv.importance import pillar_importance
 from pillarconv.tensor import load_plt
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -252,6 +254,19 @@ class TestCalibrate:
         assert float(doc["theta"]) > 0.0
         assert doc["scenes"] == [str(s1), str(s2)]
 
+    def test_scores_each_scene_once(self, tmp_path, capsys, monkeypatch):
+        scenes = [str(gen_scene(tmp_path, f"s{i}.plt", seed=i)) for i in (3, 4)]
+        calls = []
+
+        def counting(t, cfg):
+            calls.append(t.n_active)
+            return pillar_importance(t, cfg)
+
+        monkeypatch.setattr(pillarconv.cli, "pillar_importance", counting)
+        assert main(["calibrate", *scenes, "--t", "5"]) == 0
+        assert calls == [load_plt(s).n_active for s in scenes]
+        assert capsys.readouterr().out.count("threshold selects") == 2
+
     def test_nan_score_is_an_error(self, tmp_path, capsys):
         scene = gen_scene(tmp_path)
         put_nan_feature(scene)
@@ -288,6 +303,9 @@ class TestErrorsAndUsage:
         ("PLT v1 4 4 1 1", "0 0 abc"),       # non-numeric value
         ("PLT v1 4 4 1 -1", ""),             # negative entry count
         ("PLT v1 4 4 -2 1", "0 0"),          # negative channel count
+        ("PLT v1 4 4 100000000000000000000 1", ""),   # channel count beyond int64
+        ("PLT v1 4 99999999999999999999 1 1", ""),    # width beyond int64
+        ("PLT v1 4 -99999999999999999999 1 1", "0 0 1.0"),  # width below int64
     ])
     def test_malformed_plt_values_report_errors(self, tmp_path, capsys, header, body):
         path = tmp_path / "bad.plt"

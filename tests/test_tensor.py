@@ -4,12 +4,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillarconv.errors import (
     BadVectorLengthError,
     DuplicateCoordError,
     FormatError,
     OutOfBoundsError,
+    PillarConvError,
     ShapeMismatchError,
 )
 from pillarconv.tensor import (
@@ -247,6 +250,74 @@ class TestPltValues:
         back = read_plt(buf)
         assert back.features.tobytes() == t.features.tobytes()
         assert np.array_equal(back.rc, t.rc)
+
+
+# tokens that are not plain decimal numbers, or are numbers no PLT field accepts
+JUNK_TOKENS = ("x", "nan", "-inf", "1e", "0x10", "1.5", "--2", "+", "\u0663", "1_0", "PLT", "v1")
+# header counts: small, negative, huge but representable, and beyond int64
+HEADER_COUNTS = (
+    st.integers(0, 12)
+    | st.integers(-(2**70), -1)
+    | st.integers(13, 2**40)
+    | st.integers(2**63, 2**70)
+)
+MANGLES = ("truncate", "extra", "drop_token", "dup_token", "swap", "junk", "header_count")
+
+
+def mangle(op: str, lines: list[str], draw) -> list[str]:
+    """Apply one named corruption to the lines of a PLT text."""
+    lines = list(lines)
+    if not lines:
+        return [" ".join(draw(st.lists(st.sampled_from(JUNK_TOKENS), max_size=6)))]
+    i = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    j = draw(st.integers(0, max(len(tokens) - 1, 0)))
+    if op == "truncate":
+        return lines[:i]
+    if op == "extra":
+        tokens = draw(st.lists(st.sampled_from(JUNK_TOKENS + ("0", "1", "2.5e+00")), max_size=6))
+        return lines[:i] + [draw(st.sampled_from([*lines, " ".join(tokens)]))] + lines[i:]
+    if op == "swap":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[k] = lines[k], lines[i]
+        return lines
+    if op == "header_count":
+        i, tokens = 0, lines[0].split()
+        if len(tokens) < 3:
+            return lines
+        j = draw(st.integers(2, len(tokens) - 1))
+        tokens[j] = str(draw(HEADER_COUNTS))
+    elif not tokens:
+        return lines
+    elif op == "drop_token":
+        del tokens[j]
+    elif op == "dup_token":
+        tokens.insert(j, tokens[j])
+    else:  # junk
+        tokens[j] = draw(st.sampled_from(JUNK_TOKENS))
+    lines[i] = " ".join(tokens)
+    return lines
+
+
+class TestPltFuzz:
+    """Mangled PLT text parses to a valid tensor or raises a PillarConvError, nothing else."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mangled_text_parses_or_raises_a_pillarconv_error(self, data):
+        buf = io.StringIO()
+        write_plt(make_tensor([(0, 1), (2, 3), (2, 5), (4, 0)], h=5, w=6, c=2), buf)
+        lines = buf.getvalue().splitlines()
+        for op in data.draw(st.lists(st.sampled_from(MANGLES), min_size=1, max_size=3)):
+            lines = mangle(op, lines, data.draw)
+        text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+        try:
+            t = read_plt(io.StringIO(text))
+        except PillarConvError:
+            return
+        assert t.rc.shape == (t.n_active, 2)
+        assert t.features.shape == (t.n_active, t.channels)
+        validate_coords(t.height, t.width, t.rc)
 
 
 class TestArrayCoords:

@@ -2,18 +2,19 @@
 
 The rule generator consumes coordinates row-band by row-band. For a 3x3
 stride-1 layer, candidate output row R draws contributors from input rows
-R-1, R, R+1. Four pipelined stages process each band:
+R-1, R, R+1. Up to four pipelined stages process each band:
 
   1. alignment       streams every contributing entry into the band
   2. row merge       collapses contributors to distinct columns
   3. dilation check  ORs the per-entry dilation flags of each merged column
   4. column dilation expands flagged columns by one and unions the centers
 
-A band costs the max over stages of (ops x per-op latency); bands overlap,
-so mapping time is the sum of band costs. Stage ops per band: alignment
-streams each contributor once, the other three stages each touch every
-merged column once. Strided layers (2x2 stride-2 conv and its transpose)
-use the same alignment/merge accounting with no dilation stages.
+Alignment runs for every layer form. The stage table `_STAGES` says which
+merged-column stages each form runs: all three for 3x3 layers (the dilation
+support SPADE+ adds), row merge alone for 1x1 and 2x2 downsample layers, row
+merge and column dilation for 2x2 deconv layers. A band costs
+max(contributions x lat_align, merged columns x the slowest running stage's
+latency); bands overlap, so mapping time is the sum of band costs.
 
 GEMM time tiles each weight offset's gathered rows onto an
 array_rows x array_cols systolic array: ceil(n_w / rows) * ceil(c_out / cols)
@@ -174,25 +175,30 @@ def generate_rules_pipelined(
     return _assemble(triples, out_coords, height, width), stats
 
 
-def _band_work(
-    band: np.ndarray, col: np.ndarray, lat_align: int, lat_merged: int
-) -> tuple[int, int, int, int]:
-    """(bands, alignment ops, merged columns, cycles) of a stream of contributions.
+# Merged-column stages each layer form runs: row merge, dilation check, column dilation.
+_STAGES = {"3x3": (1, 1, 1), "1x1": (1, 0, 0), "downsample": (1, 0, 0), "deconv": (1, 0, 1)}
+
+
+def _mapping_stats(form: str, band, col, cfg: AcceleratorConfig | None) -> MappingStats:
+    """Mapping-stage work of a stream of contributions through `form`'s stages.
 
     Entry j of `band`/`col` is one contribution streamed into row band
-    band[j] at column col[j]. Alignment touches every contribution, the
-    merged-column stages every distinct (band, column) once; a band costs its
-    slowest stage, whose merged-column latency is `lat_merged`.
+    band[j] at column col[j]. Alignment touches every contribution, each
+    running merged-column stage every distinct (band, column) once.
     """
     if band.size == 0:
-        return 0, 0, 0, 0
+        return ZERO_MAPPING
+    cfg = cfg or AcceleratorConfig()
+    runs = _STAGES[form]
+    lat = max(x for x, on in zip((cfg.lat_merge, cfg.lat_dilate, cfg.lat_expand), runs) if on)
     span = int(col.max()) + 1
     key = band * span + col
     key.sort()
     n_contrib = _run_lengths(key // span)
     n_merged = _run_lengths(sorted_unique(key) // span)
-    cycles = np.maximum(n_contrib * lat_align, n_merged * lat_merged).sum()
-    return int(n_contrib.size), int(band.size), int(n_merged.sum()), int(cycles)
+    cycles = np.maximum(n_contrib * cfg.lat_align, n_merged * lat).sum()
+    merged = int(n_merged.sum())
+    return MappingStats(n_contrib.size, band.size, *(merged * on for on in runs), int(cycles))
 
 
 def _run_lengths(values: np.ndarray) -> np.ndarray:
@@ -208,15 +214,10 @@ def mapping_stats_3x3(height: int, coords, cfg: AcceleratorConfig | None = None)
     Dilation flags change which outputs a band emits, never its stage work,
     so they are not needed here.
     """
-    cfg = cfg or AcceleratorConfig()
     pts = as_coords_array(coords)
     band = (pts[:, :1] + np.array([-1, 0, 1])).ravel()
     keep = (band >= 0) & (band < height)
-    bands, align, merged, cycles = _band_work(
-        band[keep], np.repeat(pts[:, 1], 3)[keep], cfg.lat_align,
-        max(cfg.lat_merge, cfg.lat_dilate, cfg.lat_expand),
-    )
-    return MappingStats(bands, align, merged, merged, merged, cycles)
+    return _mapping_stats("3x3", band[keep], np.repeat(pts[:, 1], 3)[keep], cfg)
 
 
 def mapping_stats_strided(coords, kind: str, cfg: AcceleratorConfig | None = None) -> MappingStats:
@@ -226,27 +227,14 @@ def mapping_stats_strided(coords, kind: str, cfg: AcceleratorConfig | None = Non
     bands are the two output rows each input row feeds, with every merged
     column expanding to two output columns (counted as column dilation).
     """
-    cfg = cfg or AcceleratorConfig()
     pts = as_coords_array(coords)
     if kind == "downsample":
-        bands, align, merged, cycles = _band_work(
-            pts[:, 0] // 2, pts[:, 1] // 2, cfg.lat_align, cfg.lat_merge
-        )
-        return MappingStats(bands, align, merged, 0, 0, cycles)
-    if kind == "deconv":
-        bands, align, merged, cycles = _band_work(
-            (pts[:, :1] * 2 + np.array([0, 1])).ravel(), np.repeat(pts[:, 1], 2),
-            cfg.lat_align, max(cfg.lat_merge, cfg.lat_expand),
-        )
-        return MappingStats(bands, align, merged, 0, merged, cycles)
-    raise ShapeMismatchError(f"unknown strided kind {kind!r}")
-
-
-def _mapping_stats_1x1(coords, cfg: AcceleratorConfig) -> MappingStats:
-    # 1x1 layers stream each row band through alignment and merge untouched
-    pts = as_coords_array(coords)
-    bands, align, merged, cycles = _band_work(pts[:, 0], pts[:, 1], cfg.lat_align, cfg.lat_merge)
-    return MappingStats(bands, align, merged, 0, 0, cycles)
+        band, col = pts[:, 0] // 2, pts[:, 1] // 2
+    elif kind == "deconv":
+        band, col = (pts[:, :1] * 2 + np.array([0, 1])).ravel(), np.repeat(pts[:, 1], 2)
+    else:
+        raise ShapeMismatchError(f"unknown strided kind {kind!r}")
+    return _mapping_stats(kind, band, col, cfg)
 
 
 # -- cycle accounting ----------------------------------------------------------
@@ -256,12 +244,8 @@ def gemm_cycles_sparse(
     n_per_offset: Sequence[int], c_in: int, c_out: int, cfg: AcceleratorConfig
 ) -> int:
     """Tiled gather-matmul passes, one group per weight offset."""
-    total = 0
-    col_tiles = ceil_div(c_out, cfg.array_cols)
-    for n_w in n_per_offset:
-        if n_w:
-            total += ceil_div(int(n_w), cfg.array_rows) * col_tiles * c_in
-    return total
+    row_tiles = ceil_div(np.asarray(n_per_offset, dtype=np.int64), cfg.array_rows).sum()
+    return int(row_tiles) * ceil_div(c_out, cfg.array_cols) * c_in
 
 
 def dense_baseline_cycles(
@@ -323,7 +307,7 @@ def simulate_layer(rec, cfg: AcceleratorConfig | None = None) -> LayerCycles:
     if p.kind in ("downsample", "deconv"):
         mapping = mapping_stats_strided(rec.in_coords, p.kind, cfg)
     elif (spec.k_h, spec.k_w) == (1, 1):
-        mapping = _mapping_stats_1x1(rec.in_coords, cfg)
+        mapping = _mapping_stats("1x1", rec.in_coords[:, 0], rec.in_coords[:, 1], cfg)
     elif (spec.k_h, spec.k_w) == (3, 3):
         mapping = mapping_stats_3x3(p.in_h, rec.in_coords, cfg)
     else:

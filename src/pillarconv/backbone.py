@@ -334,12 +334,10 @@ def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTenso
         elif s.mode is ConvMode.SPARSE_FULL:
             rb = build_rulebook_sparse(t.rc, k, (p.in_h, p.in_w))
             flags = np.ones(t.n_active, dtype=bool)
-        elif s.mode is ConvMode.SELECTIVE:
+        else:  # ConvMode.SELECTIVE
             selection = s.selection.select(pillar_importance(t, s.selection.importance))
             rb = build_rulebook_selective(t.rc, selection.rc, k, (p.in_h, p.in_w))
             flags = selection_flags(t, selection)
-        else:
-            raise SpecMismatchError(f"mode {s.mode} cannot run as a sparse layer")
         out = execute_rulebook(rb, t, k)
         if s.activation == "relu":
             out = out.with_features(np.maximum(out.features, 0))
@@ -401,28 +399,19 @@ def _map_layers(
     return replace(spec, stages=stages, neck=neck)
 
 
-def with_body_mode(
-    spec: NetworkSpec,
-    mode: ConvMode,
-    t: float | None = None,
-    importance: ImportanceConfig | None = None,
-) -> NetworkSpec:
+def with_body_mode(spec: NetworkSpec, mode: ConvMode) -> NetworkSpec:
     """Clone a spec with every body layer forced to `mode`.
 
     DENSE also forces downsample and deconv layers dense; other modes leave
-    them sparse. For SELECTIVE, `t` (top-k percent) applies to every layer.
+    them sparse. SELECTIVE keeps a layer's selection (`LayerSpec` supplies the
+    default one).
     """
     def body(layer: LayerSpec) -> LayerSpec:
-        if mode is not ConvMode.SELECTIVE:
-            return replace(layer, mode=mode, selection=None)
-        sel = layer.selection or SelectionSpec()
-        if importance is not None:
-            sel = replace(sel, importance=importance)
-        return replace(layer, mode=mode, selection=sel)
+        keep = mode is ConvMode.SELECTIVE
+        return replace(layer, mode=mode, selection=layer.selection if keep else None)
 
     target = ConvMode.DENSE if mode is ConvMode.DENSE else ConvMode.SPARSE_FULL
-    spec = _map_layers(spec, body, lambda layer: replace(layer, mode=target, selection=None))
-    return spec if t is None else override_topk_percent(spec, t)
+    return _map_layers(spec, body, lambda layer: replace(layer, mode=target, selection=None))
 
 
 def override_topk_percent(spec: NetworkSpec, t: float) -> NetworkSpec:
@@ -556,10 +545,9 @@ def make_pointpillars(
     width: int = 432,
     channels: int = 64,
     t: float = 2.0,
-    importance: ImportanceConfig | None = None,
 ) -> NetworkSpec:
     """Three-stage pillar backbone with selective body layers and a 384-channel neck."""
-    sel = SelectionSpec(kind="topk", t=t, importance=importance or ImportanceConfig())
+    sel = SelectionSpec(kind="topk", t=t)
     stages = (
         StageSpec(_strided(channels, 64), _body(ConvMode.SELECTIVE, 64, 3, sel)),
         StageSpec(_strided(64, 128), _body(ConvMode.SELECTIVE, 128, 5, sel)),
@@ -573,10 +561,9 @@ def make_centerpoint_backbone(
     width: int = 512,
     channels: int = 64,
     t: float = 4.0,
-    importance: ImportanceConfig | None = None,
 ) -> NetworkSpec:
     """Same stage layout on a square grid, defaults tuned for denser scenes."""
-    spec = make_pointpillars(height, width, channels, t, importance)
+    spec = make_pointpillars(height, width, channels, t)
     return replace(spec, name="centerpoint-backbone")
 
 
@@ -585,10 +572,9 @@ def make_pillarnet_neck(
     width: int = 464,
     channels: int = 32,
     t: float = 4.0,
-    importance: ImportanceConfig | None = None,
 ) -> NetworkSpec:
     """Submanifold encoder stages feeding a selective final stage."""
-    sel = SelectionSpec(kind="topk", t=t, importance=importance or ImportanceConfig())
+    sel = SelectionSpec(kind="topk", t=t)
     stages = (
         StageSpec(_strided(channels, 64), _body(ConvMode.SUBMANIFOLD, 64, 2, None)),
         StageSpec(_strided(64, 128), _body(ConvMode.SUBMANIFOLD, 128, 2, None)),

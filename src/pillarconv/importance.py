@@ -51,7 +51,7 @@ class ImportanceConfig:
 
 @dataclass(frozen=True)
 class Selection:
-    """A selected subset of active coordinates plus how it was chosen.
+    """A selected subset of active coordinates.
 
     `rc` accepts any collection of unique (row, col) pairs and is stored as a
     read-only row-major sorted (m, 2) int64 array; `selected` is its
@@ -59,8 +59,6 @@ class Selection:
     """
 
     rc: np.ndarray
-    topk_percent: float | None = None
-    threshold: float | None = None
 
     def __post_init__(self) -> None:
         rc = as_coords_array(self.rc)
@@ -167,13 +165,13 @@ def select_topk(scores: Mapping[Coord, float], t_percent: float) -> Selection:
     rc, score = _score_arrays(scores)
     k = topk_count(score.size, t_percent)
     ranked = np.lexsort((rc[:, 1], rc[:, 0], -score))
-    return Selection(rc[ranked[:k]], topk_percent=t_percent)
+    return Selection(rc[ranked[:k]])
 
 
 def select_threshold(scores: Mapping[Coord, float], theta: float) -> Selection:
     """Select every pillar scoring at or above theta."""
     rc, score = _score_arrays(scores)
-    return Selection(rc[score >= theta], threshold=theta)
+    return Selection(rc[score >= theta])
 
 
 def calibrate_threshold(score_sets: Sequence[Sequence[float]], t_percent: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DensityOverflowError, SpecMismatchError
-from .tensor import FEATURE_DTYPE, PillarTensor, coords_of_keys
+from .tensor import _MAX_CELLS, FEATURE_DTYPE, PillarTensor, coords_of_keys
 
 PATTERNS = ("uniform", "clustered", "ring-arcs")
 FEATURE_KINDS = ("gaussian", "constant")
@@ -49,6 +49,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.height <= 0 or self.width <= 0:
             raise SpecMismatchError(f"grid {self.height}x{self.width} must have positive dims")
+        if self.height * self.width > _MAX_CELLS:
+            raise SpecMismatchError(f"grid {self.height}x{self.width} exceeds the int64 key space")
         if not (math.isfinite(self.density) and self.density >= 0):
             raise SpecMismatchError(f"density {self.density} must be finite and >= 0")
         if self.density > 1:

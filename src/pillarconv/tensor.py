@@ -48,6 +48,9 @@ Coord = tuple[int, int]
 
 FEATURE_DTYPE = np.float32
 
+# Keys row * width + col are int64, so a grid holds at most this many cells.
+_MAX_CELLS = np.iinfo(np.int64).max
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -148,6 +151,8 @@ class PillarTensor:
     def __post_init__(self) -> None:
         if self.height <= 0 or self.width <= 0 or self.channels <= 0:
             raise ShapeMismatchError("height, width and channels must be positive")
+        if int(self.height) * int(self.width) > _MAX_CELLS:
+            raise ShapeMismatchError(f"{self.height}x{self.width} grid exceeds the int64 key space")
         rc = as_coords_array(self.rc).view()
         rc.setflags(write=False)
         feats = np.ascontiguousarray(self.features, dtype=FEATURE_DTYPE)
@@ -241,22 +246,16 @@ def from_entries(
 ) -> PillarTensor:
     """Build a tensor from (coord, vector) pairs in any order.
 
-    Entries are sorted row-major. Raises OutOfBoundsError, DuplicateCoordError
-    or BadVectorLengthError on bad input.
+    Entries are sorted row-major. Raises BadVectorLengthError on a vector of
+    the wrong length, and the constructor's OutOfBoundsError or
+    DuplicateCoordError on bad coordinates.
     """
-    items = list(entries)
+    items = sorted(entries, key=lambda e: e[0])
     for coord, vec in items:
-        r, c = coord
-        if not (0 <= r < height and 0 <= c < width):
-            raise OutOfBoundsError(f"coordinate {coord} outside {height}x{width} grid")
         if len(vec) != channels:
             raise BadVectorLengthError(
                 f"entry at {coord} has {len(vec)} values, expected {channels}"
             )
-    items.sort(key=lambda e: e[0])
-    for (a, _), (b, _) in zip(items, items[1:]):
-        if a == b:
-            raise DuplicateCoordError(f"duplicate coordinate {a}")
     coords = [coord for coord, _ in items]
     feats = np.array([vec for _, vec in items], dtype=FEATURE_DTYPE)
     feats = feats.reshape(len(items), channels)
@@ -364,6 +363,8 @@ def read_plt(f: TextIO) -> PillarTensor:
     # numpy sizes, clips and compares with these; beyond int64 it raises raw errors
     if max(abs(h), abs(w), c, n) > np.iinfo(np.int64).max:
         raise FormatError(f"bad PLT header: count beyond the int64 range in {header!r}")
+    if h * w > _MAX_CELLS:
+        raise FormatError(f"bad PLT header: {h}x{w} grid exceeds the int64 key space")
     lines = f.read().split("\n")
     n_lines = len(lines) - (lines[-1] == "")  # a final newline ends the last line
     body, rest = lines[: min(n, n_lines)], lines[n:]

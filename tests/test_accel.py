@@ -78,6 +78,18 @@ class TestGemm:
     def test_column_tiling(self):
         assert gemm_cycles_sparse([10], 32, 130, CFG) == 1 * 3 * 32
 
+    def test_equals_a_per_offset_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            counts = rng.integers(0, 5000, size=int(rng.integers(0, 10)))
+            cfg = AcceleratorConfig(array_rows=int(rng.integers(1, 130)),
+                                    array_cols=int(rng.integers(1, 130)))
+            c_in, c_out = (int(x) for x in rng.integers(1, 300, size=2))
+            want = sum(-(-int(n) // cfg.array_rows) * -(-c_out // cfg.array_cols) * c_in
+                       for n in counts if n)
+            got = gemm_cycles_sparse(counts, c_in, c_out, cfg)
+            assert got == want and type(got) is int
+
 
 class TestStall:
     # working set = n_in*c_in + n_out*c_out + taps*c_in*c_out + c_out values
@@ -235,16 +247,18 @@ class TestSimulateLayer:
         scene = generate(SceneSpec(height=32, width=24, channels=8, density=0.15,
                                    pattern="clustered", clusters=4, spread=2.0, seed=2))
         res = run_network(scene, network_from_json(json.dumps(doc)))
-        cfg = AcceleratorConfig(lat_align=2, lat_merge=3)
-        net = simulate_network(res.reports, cfg)
-        body = [(r, lc) for r, lc in zip(res.reports, net.layers) if r.plan.kind == "body"]
-        assert len(body) == 13 and all(r.plan.spec.k_h == 1 for r, _ in body)
-        for rec, lc in body:
-            _, per_row = np.unique(rec.in_coords[:, 0], return_counts=True)
-            n = int(per_row.sum())
-            cycles = int(np.maximum(2 * per_row, 3 * per_row).sum())
-            assert lc.mapping == MappingStats(per_row.size, n, n, 0, 0, cycles)
-        assert sum(lc.mapping.alignment for _, lc in body) > 0
+        # the dilation latencies must not reach a 1x1 band
+        for cfg in (AcceleratorConfig(lat_align=2, lat_merge=3),
+                    AcceleratorConfig(lat_align=2, lat_merge=3, lat_dilate=5, lat_expand=7)):
+            net = simulate_network(res.reports, cfg)
+            body = [(r, lc) for r, lc in zip(res.reports, net.layers) if r.plan.kind == "body"]
+            assert len(body) == 13 and all(r.plan.spec.k_h == 1 for r, _ in body)
+            for rec, lc in body:
+                _, per_row = np.unique(rec.in_coords[:, 0], return_counts=True)
+                n = int(per_row.sum())
+                cycles = int(np.maximum(2 * per_row, 3 * per_row).sum())
+                assert lc.mapping == MappingStats(per_row.size, n, n, 0, 0, cycles)
+            assert sum(lc.mapping.alignment for _, lc in body) > 0
 
 
 class TestSimulateNetwork:

@@ -274,8 +274,8 @@ class TestOverridesAndComparison:
         t, spec = small_scene(seed=6), small_spec()
         variants = [
             with_body_mode(spec, ConvMode.SUBMANIFOLD),
-            with_body_mode(spec, ConvMode.SELECTIVE, t=2.0),
-            with_body_mode(spec, ConvMode.SELECTIVE, t=20.0),
+            override_topk_percent(with_body_mode(spec, ConvMode.SELECTIVE), 2.0),
+            override_topk_percent(with_body_mode(spec, ConvMode.SELECTIVE), 20.0),
             with_body_mode(spec, ConvMode.SPARSE_FULL),
         ]
         totals = [total_flops(run_network(t, v).reports) for v in variants]

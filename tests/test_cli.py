@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pillarconv
+import pillarconv.backbone
 import pillarconv.cli
 from pillarconv.cli import main
 from pillarconv.importance import pillar_importance
@@ -313,6 +314,38 @@ class TestErrorsAndUsage:
         rc = main(["run", str(path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_grid_beyond_the_key_space_reports_error(self, tmp_path, capsys):
+        # 2**62 x 2**62 cells: row * width + col would wrap int64 and misorder the entries
+        path = tmp_path / "huge.plt"
+        path.write_text("PLT v1 4611686018427387904 4611686018427387904 1 2\n1 0 1.0\n3 0 2.0\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("error:") and "Traceback" not in err
+        assert "key space" in err
+
+    def test_gen_beyond_the_key_space_reports_error(self, tmp_path, capsys):
+        out = tmp_path / "s.plt"
+        rc = main(["gen", "--height", "4611686018427387904", "--width", "4", "--density", "0",
+                   "--channels", "8", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("error:") and "Traceback" not in err
+        assert "key space" in err and not out.exists()
+
+    def test_out_of_memory_reports_error(self, tmp_path, capsys, monkeypatch):
+        # a 3e9-channel scene asks Kernel.seeded for terabytes; fail that request
+        # here instead of making it, since hosts differ in how they overcommit
+        def no_memory(k_h, k_w, c_in, c_out, stride, seed):
+            assert c_in == 3_000_000_000
+            raise MemoryError(f"Unable to allocate a ({k_h * k_w}, {c_in}, {c_out}) array")
+
+        monkeypatch.setattr(pillarconv.backbone, "_seeded_kernel", no_memory)
+        path = tmp_path / "wide.plt"
+        path.write_text("PLT v1 8 8 3000000000 0\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("error: out of memory:") and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
         ["--density", "-0.5"],

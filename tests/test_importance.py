@@ -126,7 +126,6 @@ class TestSelectTopk:
         scores = {(0, 0): 1.0, (0, 1): 5.0, (1, 0): 3.0, (1, 1): 2.0}
         sel = select_topk(scores, 50.0)
         assert sel.selected == frozenset({(0, 1), (1, 0)})
-        assert sel.topk_percent == 50.0
         # the array form is row-major sorted, not in rank order
         assert sel.rc.tolist() == [[0, 1], [1, 0]]
 
@@ -169,7 +168,6 @@ class TestSelectThreshold:
         scores = {(0, 0): 1.0, (0, 1): 2.0, (0, 2): 3.0}
         sel = select_threshold(scores, 2.0)
         assert sel.selected == frozenset({(0, 1), (0, 2)})
-        assert sel.threshold == 2.0
 
     def test_infinite_theta_selects_nothing(self):
         assert select_threshold({(0, 0): 5.0}, math.inf).selected == frozenset()

@@ -261,7 +261,8 @@ HEADER_COUNTS = (
     | st.integers(13, 2**40)
     | st.integers(2**63, 2**70)
 )
-MANGLES = ("truncate", "extra", "drop_token", "dup_token", "swap", "junk", "header_count")
+MANGLES = ("truncate", "extra", "drop_token", "dup_token", "swap", "junk", "header_count",
+           "huge_grid")
 
 
 def mangle(op: str, lines: list[str], draw) -> list[str]:
@@ -281,7 +282,10 @@ def mangle(op: str, lines: list[str], draw) -> list[str]:
         k = draw(st.integers(0, len(lines) - 1))
         lines[i], lines[k] = lines[k], lines[i]
         return lines
-    if op == "header_count":
+    if op == "huge_grid":  # h = w = 2**62: each fits int64, the cell count does not
+        i, tokens = 0, lines[0].split()
+        tokens[2:4] = [str(2**62)] * 2
+    elif op == "header_count":
         i, tokens = 0, lines[0].split()
         if len(tokens) < 3:
             return lines

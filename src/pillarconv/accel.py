@@ -79,10 +79,9 @@ def _assemble(
     out_h: int,
     out_w: int,
 ) -> Rulebook:
-    """Sort (input, weight, output) tuples canonically and freeze them into a Rulebook."""
+    """Sort (input, weight, output) tuples offset-major and freeze them into a Rulebook."""
     t = np.array(triples, dtype=np.int64).reshape(-1, 3)
-    order = np.lexsort((t[:, 0], t[:, 1], t[:, 2]))
-    t = t[order]
+    t = t[np.lexsort((t[:, 2], t[:, 1]))]
     return Rulebook(t[:, 0], t[:, 1], t[:, 2], out_coords, out_h, out_w)
 
 
@@ -98,8 +97,9 @@ def generate_rules_pipelined(
 
     `coords` is the sorted active set, `flags` marks the entries whose
     neighborhoods dilate. Flags all False reproduces the submanifold
-    rulebook, all True the full sparse one. Returns the rulebook (canonical
-    tuple order) and the mapping-stage statistics.
+    rulebook, all True the full sparse one. Returns the rulebook (tuples
+    offset-major, as every builder emits them) and the mapping-stage
+    statistics.
     """
     if (k.k_h, k.k_w, k.stride) != (3, 3, 1):
         raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")

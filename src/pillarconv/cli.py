@@ -5,6 +5,7 @@ Subcommands:
   gen        generate a synthetic scene and write it as a .plt file
   run        run a scene through a backbone, print and save per-layer reports
   verify     check the sparse modes against the dense oracle, exit 1 on drift
+             or when every case was skipped as empty
   sweep      total flops across a range of dilation percentages
   simulate   accelerator cycle model for a scene and network
   calibrate  turn a top-k percentage into an importance threshold
@@ -253,15 +254,19 @@ def cmd_verify(args) -> int:
                               seed=int(rng.integers(0, 2**31)), bias_scale=0.1)
             cases.append((f"case{i:03d} {h}x{w}x{c} d={density:.2f} k={kk}", t, k))
     failures = 0
+    skipped = []
     for label, t, k in cases:
         if t.n_active == 0:
             print(f"{label}: skipped (empty)")
+            skipped.append(label)
             continue
         ok, detail = _verify_case(t, k, args.t, args.tol)
         print(f"{label}: {'ok' if ok else 'FAIL'} {detail}")
         failures += 0 if ok else 1
-    print(f"{len(cases) - failures}/{len(cases)} cases within {fmt_float(args.tol)}")
-    return 1 if failures else 0
+    compared = len(cases) - len(skipped)
+    skips = f"; skipped (empty): {', '.join(skipped)}" if skipped else ""
+    print(f"{compared - failures}/{compared} compared cases within {fmt_float(args.tol)}{skips}")
+    return 1 if failures or not compared else 0  # comparing nothing checks nothing
 
 
 # -- sweep ------------------------------------------------------------------------

@@ -15,8 +15,8 @@ builders here differ only in which output set they commit to:
 
 All five builders are thin entry points over one vectorised kernel-map join,
 `_kernel_map`, on (n, 2) int64 coordinates and linearised keys. They accept
-(n, 2) arrays or any sequence of (row, col) pairs; `Rulebook.output_coords`
-is a tuple view of `output_rc`.
+(n, 2) arrays or any sequence of (row, col) pairs in strictly row-major order;
+`Rulebook.output_coords` is a tuple view of `output_rc`.
 
 Offset conventions. For odd stride-1 kernels (the only stride-1 form) weight
 index w enumerates centered offsets (dr, dc) in row-major order, and a tuple
@@ -27,10 +27,12 @@ sends input (r, c) to output (r // 2, c // 2) under weight offset
 outputs (2r + dr, 2c + dc), clipped to the output bounds. Stride-1 output
 positions use same padding; positions reached outside the grid are dropped.
 
-Tuples are stored sorted by (output_index, weight_index, input_index) and
-execution accumulates in exactly that order per output, so results are
-bit-for-bit reproducible. Products accumulate in float64 and round to float32
-once at the end.
+Tuples are stored offset-major: sorted by (weight_index, output_index), the
+order execution runs them in, one GEMM per offset. The join emits them in
+that order without sorting, and `Rulebook` rejects any other order. Every
+output therefore receives its products in ascending offset order, so results
+are bit-for-bit reproducible. Products accumulate in float64 and round to
+float32 once at the end.
 
 Cache-sized accumulation. Both executors keep their float64 accumulator in
 tiles of at most `ACC_BYTES`: the dense oracles in tiles of output rows, the
@@ -72,6 +74,7 @@ import numpy as np
 from .errors import (
     BadKernelShapeError,
     NonFiniteValueError,
+    OutOfBoundsError,
     ShapeMismatchError,
     StrideUnsupportedError,
     UnsortedInputError,
@@ -196,11 +199,11 @@ class Kernel:
 class Rulebook:
     """Gather-multiply-scatter plan for one sparse convolution.
 
-    Parallel arrays of (input_index, weight_index, output_index), sorted by
-    (output, weight, input); each (output, weight) pair holds at most one
-    tuple. `output_rc` is the sorted unique (n, 2) output set; indices refer
-    into it and into the input tensor's entry order. `output_coords` is its
-    tuple view.
+    Parallel arrays of (input_index, weight_index, output_index), strictly
+    ascending in (weight, output): offset-major, so each (weight, output)
+    pair holds at most one tuple. `output_rc` is the sorted unique (n, 2)
+    output set; indices, all non-negative, refer into it (checked) and into
+    the input tensor's entry order. `output_coords` is its tuple view.
     """
 
     in_idx: np.ndarray
@@ -218,7 +221,12 @@ class Rulebook:
         n = self.in_idx.size
         if self.w_idx.size != n or self.out_idx.size != n:
             raise ShapeMismatchError("rulebook arrays must have equal length")
+        w, o = self.w_idx, self.out_idx
+        if ((w[1:] < w[:-1]) | ((w[1:] == w[:-1]) & (o[1:] <= o[:-1]))).any():
+            raise UnsortedInputError("rulebook tuples must ascend strictly in (weight, output)")
         rc = as_coords_array(self.output_rc).view()
+        if n and (self.in_idx.min() < 0 or w[0] < 0 or o.min() < 0 or o.max() >= rc.shape[0]):
+            raise ShapeMismatchError("rulebook indices must be non-negative, outputs in range")
         rc.setflags(write=False)
         object.__setattr__(self, "output_rc", rc)
 
@@ -234,14 +242,11 @@ class Rulebook:
     def output_coords(self) -> tuple[Coord, ...]:
         return as_tuples(self.output_rc)
 
-    def tuple_set(self) -> set[tuple[int, int, int]]:
-        return set(zip(self.in_idx.tolist(), self.w_idx.tolist(), self.out_idx.tolist()))
-
     def tuples_per_offset(self, taps: int) -> np.ndarray:
         return np.bincount(self.w_idx, minlength=taps).astype(np.int64)
 
     def same_tuples(self, other: "Rulebook") -> bool:
-        """Set equality of tuples (canonical sort makes it array equality)."""
+        """Set equality of tuples (the one tuple order makes it array equality)."""
         return (
             np.array_equal(self.output_rc, other.output_rc)
             and np.array_equal(self.in_idx, other.in_idx)
@@ -255,41 +260,42 @@ def _require_stride1(k: Kernel, op: str) -> None:
         raise StrideUnsupportedError(f"{op} requires stride 1, got {k.stride}")
 
 
-def _require_sorted(rc: np.ndarray, width: int, op: str) -> None:
-    keys = rc[:, 0] * width + rc[:, 1]
-    if (keys[1:] <= keys[:-1]).any():
-        raise UnsortedInputError(f"{op} builder needs row-major sorted coords")
-
-
 def _kernel_map(
     rc: np.ndarray,
     k: Kernel,
     out_shape: tuple[int, int],
-    base: np.ndarray | None = None,
-    dilate: np.ndarray | None = None,
+    selected: Iterable[Coord] | None = None,
     transposed: bool = False,
 ) -> Rulebook:
     """The join every builder runs: input coords x kernel offsets -> output set.
 
-    Without `base` the outputs are every in-grid target of every input (full
-    sparse and strided forms). With `base`, a sorted unique (m, 2) output
-    set, the outputs are `base` united with the targets of the inputs the
-    mask `dilate` marks (none if omitted); targets off the output set are
-    dropped. Every (input, offset) pair whose target is an output becomes a
-    tuple.
+    Without `selected` the outputs are every in-grid target of every input
+    (full sparse and strided forms). With it, the inputs must lie on the
+    output grid, and the outputs are the inputs united with the targets of
+    the `selected` ones (none for submanifold); targets off the output set
+    are dropped. Every (input, offset) pair whose target is an output
+    becomes a tuple.
 
     Targets of stride-1 kernels are (r + dr, c + dc); of the transposed 2x2
     form (2r + dr, 2c + dc); of the downsampling 2x2 form ((r - dr) / 2,
     (c - dc) / 2) when both divide, i.e. the offset of the input's parity.
-    All n x taps targets are formed in one broadcast, bounds-checked per axis
+    All taps x n targets are formed in one broadcast, bounds-checked per axis
     so no key wraps into the next row, and linearised on the output grid.
-    Output keys are sorted, targets are matched to them by binary search, and
-    tuples are sorted canonically by the single key output * taps + weight,
-    which is unique because an output and an offset fix the input.
+    Output keys are sorted and targets are matched to them by binary search.
+    For strictly row-major input every offset's target map is strictly
+    monotone (a shift, a transpose, or a downsample within one parity
+    class), so scanning the (taps, n) hits row by row yields the tuples
+    already sorted by (offset, output). That input order is the join's one
+    precondition, and it is checked here.
     """
     out_h, out_w = out_shape
-    dr, dc = k.offset_array
-    r, c = rc[:, :1], rc[:, 1:]
+    r, c = rc[:, 0], rc[:, 1]
+    if ((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))).any():
+        raise UnsortedInputError("rulebook builders need strictly row-major sorted coords")
+    off_grid = (r.view(np.uint64) >= out_h) | (c.view(np.uint64) >= out_w)
+    if selected is not None and off_grid.any():
+        raise OutOfBoundsError(f"active coords must lie on the {out_h}x{out_w} output grid")
+    dr, dc = k.offset_array[:, :, None]
     if k.stride == 1:
         tr, tc = r + dr, c + dc
     elif transposed:
@@ -301,23 +307,23 @@ def _kernel_map(
     ok = (tr.view(np.uint64) < out_h) & (tc.view(np.uint64) < out_w)
     if k.stride == 2 and not transposed:
         ok &= ((sr | sc) & 1) == 0
-    i, w = ok.nonzero()
-    keys = (tr * out_w + tc)[i, w]
-    if base is None:
+    w, i = ok.nonzero()
+    keys = (tr * out_w + tc)[w, i]
+    if selected is None:
         out_keys = sorted_unique(keys)
         o = out_keys.searchsorted(keys)
         out_rc = coords_of_keys(out_keys, out_w)
     else:
-        out_keys = base[:, 0] * out_w + base[:, 1]
-        out_rc = base
-        if dilate is not None:
+        dilate = selection_mask(rc, selected, out_h, out_w)
+        out_keys = r * out_w + c
+        out_rc = rc
+        if dilate.any():
             out_keys = sorted_unique(np.concatenate((out_keys, keys[dilate[i]])))
             out_rc = coords_of_keys(out_keys, out_w)
         o = out_keys.searchsorted(keys)
         hit = out_keys.take(o, mode="clip") == keys
         i, w, o = i[hit], w[hit], o[hit]
-    order = (o * k.taps + w).argsort()
-    return Rulebook(i[order], w[order], o[order], out_rc, out_h, out_w)
+    return Rulebook(i, w, o, out_rc, out_h, out_w)
 
 
 def build_rulebook_subm(
@@ -327,14 +333,14 @@ def build_rulebook_subm(
 
     A tuple (i, w, o) exists iff both ends are active and
     coord(o) - coord(i) = offset(w). Bounds never affect the tuple set; they
-    only record the output grid dims (inferred from the coords if omitted).
+    record the output grid dims (inferred from the coords if omitted), and
+    every active coord must lie inside them.
     """
     _require_stride1(k, "submanifold convolution")
     rc = as_coords_array(active)
     if bounds is None:
         bounds = (int(rc[:, 0].max(initial=0)) + 1, int(rc[:, 1].max(initial=0)) + 1)
-    _require_sorted(rc, bounds[1], "submanifold")
-    return _kernel_map(rc, k, bounds, base=rc)
+    return _kernel_map(rc, k, bounds, selected=())
 
 
 def build_rulebook_sparse(
@@ -391,9 +397,7 @@ def build_rulebook_selective(
     """
     _require_stride1(k, "selective dilation")
     rc = as_coords_array(active)
-    _require_sorted(rc, out_bounds[1], "selective")
-    flags = selection_mask(rc, selected)
-    return _kernel_map(rc, k, out_bounds, base=rc, dilate=flags if flags.any() else None)
+    return _kernel_map(rc, k, out_bounds, selected=selected)
 
 
 # -- execution ---------------------------------------------------------------
@@ -413,9 +417,11 @@ def _tile_len(row_values: int) -> int:
 def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
     """Run gather-multiply-scatter over the rulebook.
 
-    Accumulates in float64 in canonical tuple order per output, adds bias,
-    rounds to float32, one block of outputs at a time (see the module
-    docstring). Output tensor lives on the rulebook's output grid.
+    Accumulates in float64, one block of outputs at a time (see the module
+    docstring): a block runs one GEMM per offset over its slice of the
+    offset-major tuples, so every output sums its offsets in ascending
+    order, then adds bias and rounds to float32. Output tensor lives on the
+    rulebook's output grid.
     """
     if t.channels != k.c_in:
         raise ShapeMismatchError(f"input has {t.channels} channels, kernel wants {k.c_in}")
@@ -430,31 +436,28 @@ def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
     feats = t.features.astype(np.float64)
     weights = k.weights.astype(np.float64)
     bias = k.bias.astype(np.float64)
-    # One stable sort groups tuples by (block, offset); within a group they
-    # stay in canonical order, and a plain fancy-index add equals np.add.at
-    # because an offset adds at most once to any output.
-    key = rb.out_idx // block * taps + rb.w_idx
-    order = np.argsort(key.astype(np.min_scalar_type(n_blocks * taps)), kind="stable")
-    ends = np.cumsum(np.bincount(key, minlength=n_blocks * taps)).tolist()
-    per_offset = rb.tuples_per_offset(taps).tolist()
+    # Offset-major tuples make each (offset, block) run one slice, in output
+    # order; a plain fancy-index add equals np.add.at because an offset adds
+    # at most once to any output.
+    runs = np.bincount(rb.w_idx * n_blocks + rb.out_idx // block, minlength=taps * n_blocks)
+    ends = runs.cumsum()
+    starts, ends = (ends - runs).tolist(), ends.tolist()
+    per_offset = runs.reshape(taps, n_blocks).sum(axis=1).tolist()
     out = np.empty((n_out, k.c_out), dtype=FEATURE_DTYPE)
     acc = np.empty((min(block, n_out), k.c_out))
-    start = 0
-    for lo in range(0, n_out, block):
+    for b, lo in enumerate(range(0, n_out, block)):
         a = acc[: min(block, n_out - lo)]
         a.fill(0.0)
         for w in range(taps):
-            end = ends[lo // block * taps + w]
+            start, end = starts[w * n_blocks + b], ends[w * n_blocks + b]
             if end == start:
                 continue
-            seg = order[start:end]
-            start = end
-            x = feats[rb.in_idx[seg]]
-            if seg.size == 1 < per_offset[w]:
+            x = feats[rb.in_idx[start:end]]
+            if end - start == 1 < per_offset[w]:
                 p = (x.repeat(2, axis=0) @ weights[w])[:1]
             else:
                 p = x @ weights[w]
-            a[rb.out_idx[seg] - lo] += p
+            a[rb.out_idx[start:end] - lo] += p
         a += bias
         out[lo : lo + a.shape[0]] = a
     return PillarTensor(rb.out_height, rb.out_width, k.c_out, rb.output_rc, out)

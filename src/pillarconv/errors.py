@@ -24,7 +24,7 @@ class BadVectorLengthError(PillarConvError):
 
 
 class UnsortedInputError(PillarConvError):
-    """Entries were required to arrive in row-major sorted order."""
+    """Entries arrived out of their required strict order (coords row-major, tuples offset-major)."""
 
 
 class FormatError(PillarConvError):

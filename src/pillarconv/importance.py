@@ -202,4 +202,4 @@ def calibrate_threshold(score_sets: Sequence[Sequence[float]], t_percent: float)
 
 def selection_flags(t: PillarTensor, selection: Selection) -> np.ndarray:
     """Per-entry boolean flags for a selection; raises if not a subset."""
-    return selection_mask(t.rc, selection.rc)
+    return selection_mask(t.rc, selection.rc, t.height, t.width)

@@ -91,19 +91,20 @@ def as_tuples(rc: np.ndarray) -> tuple[Coord, ...]:
     return tuple(map(tuple, rc.tolist()))
 
 
-def selection_mask(rc: np.ndarray, selected) -> np.ndarray:
-    """Per-entry flags marking which rows of `rc` are in `selected`.
+def selection_mask(rc: np.ndarray, selected, height: int, width: int) -> np.ndarray:
+    """Per-entry flags marking which rows of `rc`, on a height x width grid, are in `selected`.
 
-    Raises SelectionNotSubsetError if `selected` names a coordinate not in `rc`.
+    Raises SelectionNotSubsetError if `selected` names a coordinate not in
+    `rc`, off-grid ones included.
     """
     sel = as_coords_array(selected)
     if sel.size == 0:
         return np.zeros(rc.shape[0], dtype=bool)
-    # keys on a 2**32-column grid: no two coordinates of any real grid share one
-    want = sorted_unique((sel[:, 0] << 32) + sel[:, 1])
-    keys = (rc[:, 0] << 32) + rc[:, 1]
+    on_grid = (sel[:, 0].view(np.uint64) < height) & (sel[:, 1].view(np.uint64) < width)
+    want = sorted_unique(sel[:, 0] * width + sel[:, 1])
+    keys = rc[:, 0] * width + rc[:, 1]
     flags = want.take(want.searchsorted(keys), mode="clip") == keys
-    if np.count_nonzero(flags) != want.size:
+    if not on_grid.all() or np.count_nonzero(flags) != want.size:
         extra = set(as_tuples(sel)) - set(as_tuples(rc))
         raise SelectionNotSubsetError(f"selected coords not active: {sorted(extra)[:4]}")
     return flags
@@ -184,11 +185,6 @@ class PillarTensor:
         """The coordinates as a tuple of (row, col) tuples."""
         return as_tuples(self.rc)
 
-    @cached_property
-    def index_of(self) -> dict[Coord, int]:
-        """Coordinate -> entry index lookup."""
-        return {c: i for i, c in enumerate(self.coords)}
-
     def with_features(self, features: np.ndarray) -> "PillarTensor":
         """Same active set, new feature values (shape must match)."""
         return PillarTensor(self.height, self.width, self.channels, self.rc, features)
@@ -266,12 +262,6 @@ def from_dense(grid: DenseGrid) -> PillarTensor:
     """Active set = cells with at least one nonzero channel."""
     mask = np.any(grid.data != 0, axis=2)
     return PillarTensor(grid.height, grid.width, grid.channels, np.argwhere(mask), grid.data[mask])
-
-
-def empty(height: int, width: int, channels: int) -> PillarTensor:
-    return PillarTensor(
-        height, width, channels, (), np.zeros((0, channels), dtype=FEATURE_DTYPE)
-    )
 
 
 def concat_channels(tensors: Sequence[PillarTensor]) -> PillarTensor:

@@ -177,6 +177,15 @@ class TestVerify:
         assert "FAIL" in out and "max|diff|=nan" in out
         assert ": ok" not in out
 
+    def test_empty_scene_is_not_counted_as_passing(self, tmp_path, capsys):
+        scene = tmp_path / "empty.plt"
+        scene.write_text("PLT v1 6 6 2 0\n")
+        rc = main(["verify", str(scene)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "skipped (empty)" in out
+        assert "0/0 compared cases" in out and str(scene) in out.splitlines()[-1]
+
 
 class TestSweep:
     def test_flops_rise_with_t(self, tmp_path):

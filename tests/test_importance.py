@@ -15,6 +15,7 @@ from pillarconv.importance import (
     Aggregate,
     ImportanceConfig,
     Measure,
+    Selection,
     calibrate_threshold,
     pillar_importance,
     select_threshold,
@@ -22,7 +23,7 @@ from pillarconv.importance import (
     selection_flags,
     topk_count,
 )
-from pillarconv.tensor import from_entries
+from pillarconv.tensor import PillarTensor, from_entries
 
 
 def tensor_with(entries, h=8, w=8, c=None):
@@ -219,7 +220,18 @@ class TestSelectionFlags:
 
     def test_selection_outside_active_set_rejected(self):
         t = tensor_with([((0, 0), [1.0])])
-        from pillarconv.importance import Selection
-
         with pytest.raises(SelectionNotSubsetError):
             selection_flags(t, Selection(frozenset({(5, 5)})))
+
+    def test_keys_use_the_grid_width(self):
+        # on a 2**32-column key grid (0, 2**32) and (1, 0) share a key
+        t = PillarTensor(4, 2**34, 1, [(1, 0)], np.zeros((1, 1), dtype=np.float32))
+        with pytest.raises(SelectionNotSubsetError):
+            selection_flags(t, Selection([(0, 2**32)]))
+
+    def test_off_grid_selection_rejected(self):
+        t = tensor_with([((1, 0), [1.0])], h=4, w=4)
+        with pytest.raises(SelectionNotSubsetError):
+            selection_flags(t, Selection([(0, 2**32)]))
+        with pytest.raises(SelectionNotSubsetError):
+            selection_flags(t, Selection([(0, 4)]))

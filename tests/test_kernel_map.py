@@ -2,8 +2,8 @@
 
 Every builder is one vectorised join over linearised keys. The references
 here enumerate (input, offset) pairs one at a time with Python sets, so a
-key that wraps into the next row, a dropped clip or a wrong canonical order
-shows up as a mismatch.
+key that wraps into the next row, a dropped clip or a wrong (offset-major)
+tuple order shows up as a mismatch.
 """
 
 import itertools
@@ -33,6 +33,7 @@ from pillarconv.conv import (
     build_rulebook_subm,
     execute_rulebook,
 )
+from pillarconv.errors import OutOfBoundsError, ShapeMismatchError, UnsortedInputError
 from pillarconv.importance import Selection
 from pillarconv.scenes import SceneSpec, generate
 from pillarconv.tensor import FEATURE_DTYPE, PillarTensor, load_plt, save_plt
@@ -49,7 +50,7 @@ def kernel(k_h, k_w, stride=1, c_in=1, c_out=1, seed=0):
 
 
 def reference(active, k, out_shape, target, outputs=None):
-    """Canonical tuples and output coords by enumerating every (input, offset).
+    """Offset-major tuples and output coords by enumerating every (input, offset).
 
     `target(r, c, dr, dc)` is the output an input reaches under an offset, or
     None. Outputs default to every in-grid target; otherwise targets off
@@ -66,8 +67,8 @@ def reference(active, k, out_shape, target, outputs=None):
         outputs = {t for _, _, t in pairs}
     out_coords = sorted(outputs)
     index = {rc: j for j, rc in enumerate(out_coords)}
-    tuples = sorted((index[t], w, i) for i, w, t in pairs if t in index)
-    return tuple(out_coords), [(i, w, o) for o, w, i in tuples]
+    tuples = sorted((w, index[t], i) for i, w, t in pairs if t in index)
+    return tuple(out_coords), [(i, w, o) for w, o, i in tuples]
 
 
 def stride1(r, c, dr, dc):
@@ -231,6 +232,63 @@ class TestEmptyAndInferredBounds:
             build_rulebook_selective(as_array, as_array[:2], k, (4, 4)))
 
 
+class TestJoinPreconditions:
+    """The join's one precondition, its grid check, and the rulebook's tuple order and ranges."""
+
+    BUILDERS = {
+        "subm": lambda a: build_rulebook_subm(a, kernel(3, 3), bounds=(6, 6)),
+        "selective": lambda a: build_rulebook_selective(a, a[:1], kernel(3, 3), (6, 6)),
+        "sparse": lambda a: build_rulebook_sparse(a, kernel(3, 3), (6, 6)),
+        "down": lambda a: build_rulebook_downsample2x2(a, kernel(2, 2, stride=2), (6, 6)),
+        "deconv": lambda a: build_rulebook_deconv2x2(a, kernel(2, 2, stride=2), (12, 12)),
+    }
+
+    @pytest.mark.parametrize("build", sorted(BUILDERS))
+    def test_every_builder_rejects_unsorted_input(self, build):
+        with pytest.raises(UnsortedInputError):
+            self.BUILDERS[build]([(2, 2), (1, 3)])
+        with pytest.raises(UnsortedInputError):
+            self.BUILDERS[build]([(1, 1), (1, 0)])
+
+    @pytest.mark.parametrize("build", sorted(BUILDERS))
+    def test_every_builder_rejects_duplicate_input(self, build):
+        with pytest.raises(UnsortedInputError):
+            self.BUILDERS[build]([(1, 1), (1, 1)])
+
+    def test_subm_rejects_actives_off_its_grid(self):
+        # on a 4x4 grid the key of (0, 5) is that of (1, 1)
+        with pytest.raises(OutOfBoundsError):
+            build_rulebook_subm([(0, 0), (0, 5)], kernel(3, 3), bounds=(4, 4))
+        with pytest.raises(OutOfBoundsError):
+            build_rulebook_subm([(-1, 2), (0, 0)], kernel(3, 3), bounds=(4, 4))
+
+    def test_selective_rejects_actives_off_its_grid(self):
+        with pytest.raises(OutOfBoundsError):
+            build_rulebook_selective([(0, 0), (0, 5)], [(0, 0)], kernel(3, 3), (4, 4))
+        with pytest.raises(OutOfBoundsError):
+            build_rulebook_selective([(0, 0), (4, 0)], [], kernel(3, 3), (4, 4))
+
+    def test_rulebook_rejects_tuples_out_of_offset_major_order(self):
+        out_rc = np.array([[0, 0], [0, 1]])
+        Rulebook([1, 0], [0, 1], [0, 1], out_rc, 1, 2)
+        with pytest.raises(UnsortedInputError):
+            Rulebook([0, 1], [1, 0], [1, 0], out_rc, 1, 2)  # output-major
+        with pytest.raises(UnsortedInputError):
+            Rulebook([1, 0], [0, 0], [1, 0], out_rc, 1, 2)
+
+    def test_rulebook_rejects_indices_out_of_range(self):
+        # a negative input index would gather the last entry without a word
+        out_rc = np.array([[0, 0]])
+        for i, w, o in (([-1], [0], [0]), ([0], [-1], [0]), ([0], [0], [-1]), ([0], [0], [1])):
+            with pytest.raises(ShapeMismatchError):
+                Rulebook(i, w, o, out_rc, 1, 1)
+
+    def test_rulebook_rejects_a_duplicate_pair(self):
+        # a second tuple for one (offset, output) would be dropped by the scatter
+        with pytest.raises(UnsortedInputError):
+            Rulebook([0, 1], [0, 0], [0, 0], np.array([[0, 0]]), 1, 1)
+
+
 # -- stats-only mapping against the streaming generator -----------------------------
 
 latencies = st.integers(1, 4)
@@ -386,8 +444,8 @@ def test_load_run_simulate_builds_no_coordinate_tuples(tmp_path, monkeypatch, mo
     def refuse(self):
         raise AssertionError("a coordinate tuple view was built")
 
-    for cls, name in ((PillarTensor, "coords"), (PillarTensor, "index_of"),
-                      (Rulebook, "output_coords"), (Selection, "selected")):
+    for cls, name in ((PillarTensor, "coords"), (Rulebook, "output_coords"),
+                      (Selection, "selected")):
         monkeypatch.setattr(cls, name, property(refuse))
     res = run_network(load_plt(str(path)), spec)
     net = simulate_network(res.traces)

@@ -19,7 +19,6 @@ from pillarconv.tensor import (
     DenseGrid,
     PillarTensor,
     concat_channels,
-    empty,
     from_dense,
     from_entries,
     load_plt,
@@ -76,7 +75,7 @@ class TestConstruction:
             t.features[0, 0] = 5.0
 
     def test_empty(self):
-        t = empty(6, 7, 2)
+        t = make_tensor([], h=6, w=7, c=2)
         assert t.n_active == 0
         assert t.density() == 0.0
         assert t.features.shape == (0, 2)
@@ -84,11 +83,6 @@ class TestConstruction:
     def test_density(self):
         t = make_tensor([(0, 0), (1, 1)], h=4, w=4)
         assert t.density() == 2 / 16
-
-    def test_index_of(self):
-        t = make_tensor([(0, 1), (2, 3)])
-        assert t.index_of[(0, 1)] == 0
-        assert t.index_of[(2, 3)] == 1
 
     def test_with_features_keeps_active_set(self):
         t = make_tensor([(0, 1), (2, 3)], c=2)
@@ -143,7 +137,7 @@ class TestConcatChannels:
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            concat_channels([empty(4, 4, 1), empty(4, 5, 1)])
+            concat_channels([make_tensor([], h=4, w=4, c=1), make_tensor([], h=4, w=5, c=1)])
 
 
 class TestPltFormat:

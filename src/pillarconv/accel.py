@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conv import Kernel, Rulebook
+from .conv import Kernel, Rulebook, _check_join_input
 from .errors import BadKernelShapeError, ShapeMismatchError
 from .tensor import Coord, as_coords_array, sorted_unique
 from .util import ceil_div
@@ -95,8 +95,9 @@ def generate_rules_pipelined(
 ) -> tuple[Rulebook, MappingStats]:
     """Streaming selective-dilation rule generation for a 3x3 stride-1 kernel.
 
-    `coords` is the sorted active set, `flags` marks the entries whose
-    neighborhoods dilate. Flags all False reproduces the submanifold
+    `coords` is the active set, strictly row-major on the height x width
+    grid (checked as every builder checks it), and `flags` marks the entries
+    whose neighborhoods dilate. Flags all False reproduces the submanifold
     rulebook, all True the full sparse one. Returns the rulebook (tuples
     offset-major, as every builder emits them) and the mapping-stage
     statistics.
@@ -105,6 +106,7 @@ def generate_rules_pipelined(
         raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")
     cfg = cfg or AcceleratorConfig()
     pts = as_coords_array(coords)
+    _check_join_input(pts, (height, width))
     n = pts.shape[0]
     fl = np.asarray(flags, dtype=bool)
     if fl.shape != (n,):

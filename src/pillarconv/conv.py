@@ -260,21 +260,32 @@ def _require_stride1(k: Kernel, op: str) -> None:
         raise StrideUnsupportedError(f"{op} requires stride 1, got {k.stride}")
 
 
+def _check_join_input(rc: np.ndarray, grid: tuple[int, int] | None) -> None:
+    """The join's precondition: strictly row-major coords, on `grid` when it is known."""
+    r, c = rc[:, 0], rc[:, 1]
+    if ((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))).any():
+        raise UnsortedInputError("rulebook builders need strictly row-major sorted coords")
+    # a negative value wraps to a huge unsigned one
+    if grid is not None and ((r.view(np.uint64) >= grid[0]) | (c.view(np.uint64) >= grid[1])).any():
+        raise OutOfBoundsError(f"active coords must lie on the {grid[0]}x{grid[1]} input grid")
+
+
 def _kernel_map(
     rc: np.ndarray,
     k: Kernel,
     out_shape: tuple[int, int],
     selected: Iterable[Coord] | None = None,
     transposed: bool = False,
+    in_shape: tuple[int, int] | None = None,
 ) -> Rulebook:
     """The join every builder runs: input coords x kernel offsets -> output set.
 
     Without `selected` the outputs are every in-grid target of every input
-    (full sparse and strided forms). With it, the inputs must lie on the
-    output grid, and the outputs are the inputs united with the targets of
-    the `selected` ones (none for submanifold); targets off the output set
-    are dropped. Every (input, offset) pair whose target is an output
-    becomes a tuple.
+    (full sparse and strided forms). With it, the outputs are the inputs
+    united with the targets of the `selected` ones (none for submanifold);
+    targets off the output set are dropped. Every (input, offset) pair whose
+    target is an output becomes a tuple. The inputs must lie on their grid:
+    the output grid at stride 1, `in_shape` when a strided caller knows it.
 
     Targets of stride-1 kernels are (r + dr, c + dc); of the transposed 2x2
     form (2r + dr, 2c + dc); of the downsampling 2x2 form ((r - dr) / 2,
@@ -285,16 +296,12 @@ def _kernel_map(
     For strictly row-major input every offset's target map is strictly
     monotone (a shift, a transpose, or a downsample within one parity
     class), so scanning the (taps, n) hits row by row yields the tuples
-    already sorted by (offset, output). That input order is the join's one
-    precondition, and it is checked here.
+    already sorted by (offset, output). That input order is the join's
+    precondition, checked here with the input grid by `_check_join_input`.
     """
+    _check_join_input(rc, out_shape if k.stride == 1 else in_shape)
     out_h, out_w = out_shape
     r, c = rc[:, 0], rc[:, 1]
-    if ((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))).any():
-        raise UnsortedInputError("rulebook builders need strictly row-major sorted coords")
-    off_grid = (r.view(np.uint64) >= out_h) | (c.view(np.uint64) >= out_w)
-    if selected is not None and off_grid.any():
-        raise OutOfBoundsError(f"active coords must lie on the {out_h}x{out_w} output grid")
     dr, dc = k.offset_array[:, :, None]
     if k.stride == 1:
         tr, tc = r + dr, c + dc
@@ -348,9 +355,10 @@ def build_rulebook_sparse(
 ) -> Rulebook:
     """Dilating sparse rulebook: outputs everywhere any input reaches.
 
-    Stride 1 uses same padding (output grid = input grid); positions landing
-    outside `out_bounds` are dropped. Stride 2 maps input (r, c) to output
-    ((r - dr) / 2, (c - dc) / 2) for the offset of matching parity.
+    Stride 1 uses same padding (output grid = input grid, so the active
+    coords must lie on `out_bounds`); targets landing outside it are
+    dropped. Stride 2 maps input (r, c) to output ((r - dr) / 2,
+    (c - dc) / 2) for the offset of matching parity.
     """
     return _kernel_map(as_coords_array(active), k, out_bounds)
 
@@ -360,13 +368,14 @@ def build_rulebook_downsample2x2(
 ) -> Rulebook:
     """2x2 stride-2 downsampling convolution.
 
-    Output grid is ceil(h/2) x ceil(w/2); each input contributes one tuple at
-    (r // 2, c // 2) with weight offset (r % 2, c % 2).
+    Output grid is ceil(h/2) x ceil(w/2); each input, which must lie on the
+    h x w input grid, contributes one tuple at (r // 2, c // 2) with weight
+    offset (r % 2, c % 2).
     """
     if (k.k_h, k.k_w, k.stride) != (2, 2, 2):
         raise BadKernelShapeError("downsample needs a 2x2 stride-2 kernel")
     h, w = in_bounds
-    return _kernel_map(as_coords_array(active), k, ((h + 1) // 2, (w + 1) // 2))
+    return _kernel_map(as_coords_array(active), k, ((h + 1) // 2, (w + 1) // 2), in_shape=in_bounds)
 
 
 def build_rulebook_deconv2x2(

@@ -5,17 +5,20 @@ counter-based generator, so the same spec and seed produce the same tensor
 on every platform. The generator places exactly round(density * h * w)
 unique active cells.
 
-Patterns:
+One loop places the cells of every pattern. Each attempt draws a candidate
+(row, col), and a new in-grid candidate is kept in draw order, until the
+target count or 200 attempts per cell. If the pattern saturates first (tiny
+grid, high density), the rest is filled from a seeded permutation of the
+cells not yet taken, so the count is always exact. Patterns differ only in
+their draws:
 
-* uniform: cells drawn uniformly without replacement;
+* uniform: no candidates at all, so every cell comes from the permutation;
 * clustered: a few Gaussian blobs, the typical look of objects and walls in
-  a bird's-eye-view grid;
+  a bird's-eye-view grid; an attempt draws a blob, then row and column
+  offsets;
 * ring-arcs: arc segments around the grid center at random radii, a crude
-  stand-in for range-scan returns.
-
-Clustered and ring-arcs sample until they collect the target count; if a
-pattern saturates (tiny grid, high density) the remainder is filled from a
-seeded permutation of the unused cells so the count is always exact.
+  stand-in for range-scan returns; an attempt draws an arc, an angle and a
+  radius jitter.
 """
 
 from __future__ import annotations
@@ -67,67 +70,57 @@ class SceneSpec:
         return int(round(self.density * self.height * self.width))
 
 
-def _fill_remainder(rng, taken: set[int], n_cells: int, need: int) -> list[int]:
-    """Deterministic fallback when a pattern saturates before hitting count."""
-    rest = [i for i in np.asarray(rng.permutation(n_cells)).tolist() if i not in taken]
-    return rest[:need]
+def _candidate_draw(rng, spec: SceneSpec):
+    """Make the pattern's set-up draws; return its per-attempt draw of a (row, col).
 
-
-def _cells_uniform(rng, spec: SceneSpec, n: int) -> list[int]:
-    return np.asarray(rng.permutation(spec.height * spec.width))[:n].tolist()
-
-
-def _cells_clustered(rng, spec: SceneSpec, n: int) -> list[int]:
+    Uniform has neither, so all its cells come from the fill.
+    """
     h, w = spec.height, spec.width
-    k = max(1, spec.clusters)
-    centers_r = rng.integers(0, h, size=k)
-    centers_c = rng.integers(0, w, size=k)
-    taken: set[int] = set()
-    out: list[int] = []
-    attempts = 0
-    limit = 200 * max(n, 1)
-    while len(out) < n and attempts < limit:
-        attempts += 1
-        j = int(rng.integers(0, k))
-        r = int(centers_r[j] + round(float(rng.normal(0.0, spec.spread))))
-        c = int(centers_c[j] + round(float(rng.normal(0.0, spec.spread))))
-        if not (0 <= r < h and 0 <= c < w):
-            continue
-        cell = r * w + c
-        if cell not in taken:
-            taken.add(cell)
-            out.append(cell)
-    if len(out) < n:
-        out.extend(_fill_remainder(rng, taken, h * w, n - len(out)))
-    return out
+    if spec.pattern == "clustered":
+        k = max(1, spec.clusters)
+        centers_r = rng.integers(0, h, size=k).tolist()
+        centers_c = rng.integers(0, w, size=k).tolist()
+
+        def draw():
+            j = int(rng.integers(0, k))
+            # one call of two normals returns and consumes what two scalar calls do
+            dr, dc = rng.normal(0.0, spec.spread, 2).tolist()
+            return centers_r[j] + round(dr), centers_c[j] + round(dc)
+
+    elif spec.pattern == "ring-arcs":
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        n_arcs = max(1, spec.arcs)
+        radii = (rng.uniform(0.12, 0.48, size=n_arcs) * min(h, w)).tolist()
+        starts = rng.uniform(0.0, 2.0 * math.pi, size=n_arcs).tolist()
+        spans = rng.uniform(0.3 * math.pi, 1.2 * math.pi, size=n_arcs).tolist()
+
+        def draw():
+            j = int(rng.integers(0, n_arcs))
+            ang = starts[j] + rng.uniform(0.0, 1.0) * spans[j]
+            rad = radii[j] + rng.normal(0.0, 1.0)
+            return round(cy + rad * math.sin(ang)), round(cx + rad * math.cos(ang))
+
+    else:
+        return None
+    return draw
 
 
-def _cells_ring_arcs(rng, spec: SceneSpec, n: int) -> list[int]:
+def _cells(rng, spec: SceneSpec, n: int) -> list[int]:
+    """n distinct cell keys: new in-grid candidates in draw order for at most
+    200 n attempts, then the rest from a seeded permutation of the cells not taken."""
     h, w = spec.height, spec.width
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    n_arcs = max(1, spec.arcs)
-    radii = rng.uniform(0.12, 0.48, size=n_arcs) * min(h, w)
-    starts = rng.uniform(0.0, 2.0 * math.pi, size=n_arcs)
-    spans = rng.uniform(0.3 * math.pi, 1.2 * math.pi, size=n_arcs)
-    taken: set[int] = set()
-    out: list[int] = []
-    attempts = 0
-    limit = 200 * max(n, 1)
-    while len(out) < n and attempts < limit:
-        attempts += 1
-        j = int(rng.integers(0, n_arcs))
-        ang = float(starts[j] + rng.uniform(0.0, 1.0) * spans[j])
-        rad = float(radii[j] + rng.normal(0.0, 1.0))
-        r = int(round(cy + rad * math.sin(ang)))
-        c = int(round(cx + rad * math.cos(ang)))
-        if not (0 <= r < h and 0 <= c < w):
-            continue
-        cell = r * w + c
-        if cell not in taken:
-            taken.add(cell)
-            out.append(cell)
+    draw = _candidate_draw(rng, spec)
+    taken: dict[int, None] = {}  # insertion-ordered: the cells in draw order
+    for _ in range(200 * n if draw else 0):
+        r, c = draw()
+        if 0 <= r < h and 0 <= c < w:
+            taken.setdefault(r * w + c)
+            if len(taken) == n:
+                break
+    out = list(taken)
     if len(out) < n:
-        out.extend(_fill_remainder(rng, taken, h * w, n - len(out)))
+        perm = rng.permutation(h * w)
+        out += perm[~np.isin(perm, out)][: n - len(out)].tolist()
     return out
 
 
@@ -135,12 +128,7 @@ def generate(spec: SceneSpec) -> PillarTensor:
     """Generate the scene for a spec; same spec -> same tensor, always."""
     n = spec.target_count
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    if spec.pattern == "uniform":
-        cells = _cells_uniform(rng, spec, n)
-    elif spec.pattern == "clustered":
-        cells = _cells_clustered(rng, spec, n)
-    else:
-        cells = _cells_ring_arcs(rng, spec, n)
+    cells = _cells(rng, spec, n)
     if spec.features == "gaussian":
         feats = rng.standard_normal((n, spec.channels)).astype(FEATURE_DTYPE)
     else:

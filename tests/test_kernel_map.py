@@ -241,6 +241,7 @@ class TestJoinPreconditions:
         "sparse": lambda a: build_rulebook_sparse(a, kernel(3, 3), (6, 6)),
         "down": lambda a: build_rulebook_downsample2x2(a, kernel(2, 2, stride=2), (6, 6)),
         "deconv": lambda a: build_rulebook_deconv2x2(a, kernel(2, 2, stride=2), (12, 12)),
+        "streaming": lambda a: generate_rules_pipelined(6, 6, a, [False] * len(a), kernel(3, 3)),
     }
 
     @pytest.mark.parametrize("build", sorted(BUILDERS))
@@ -255,18 +256,12 @@ class TestJoinPreconditions:
         with pytest.raises(UnsortedInputError):
             self.BUILDERS[build]([(1, 1), (1, 1)])
 
-    def test_subm_rejects_actives_off_its_grid(self):
-        # on a 4x4 grid the key of (0, 5) is that of (1, 1)
-        with pytest.raises(OutOfBoundsError):
-            build_rulebook_subm([(0, 0), (0, 5)], kernel(3, 3), bounds=(4, 4))
-        with pytest.raises(OutOfBoundsError):
-            build_rulebook_subm([(-1, 2), (0, 0)], kernel(3, 3), bounds=(4, 4))
-
-    def test_selective_rejects_actives_off_its_grid(self):
-        with pytest.raises(OutOfBoundsError):
-            build_rulebook_selective([(0, 0), (0, 5)], [(0, 0)], kernel(3, 3), (4, 4))
-        with pytest.raises(OutOfBoundsError):
-            build_rulebook_selective([(0, 0), (4, 0)], [], kernel(3, 3), (4, 4))
+    @pytest.mark.parametrize("build", sorted(set(BUILDERS) - {"deconv"}))
+    def test_builders_reject_actives_off_their_input_grid(self, build):
+        # all but deconv know their 6x6 input grid; on it the key of (0, 6) is that of (1, 0)
+        for active in ([(0, 0), (0, 6)], [(-1, 2), (0, 0)], [(0, 0), (6, 0)], [(0, -1)]):
+            with pytest.raises(OutOfBoundsError):
+                self.BUILDERS[build](active)
 
     def test_rulebook_rejects_tuples_out_of_offset_major_order(self):
         out_rc = np.array([[0, 0], [0, 1]])

@@ -1,5 +1,7 @@
 """Synthetic scene generation: exact counts, determinism, spatial patterns."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,43 @@ class TestPatterns:
         t = generate(SceneSpec(height=32, width=32, channels=1, density=0.6,
                                pattern="clustered", clusters=2, spread=1.0, seed=6))
         assert t.n_active == round(0.6 * 32 * 32)
+
+
+class TestPinnedBytes:
+    """sha256 of rc and feature bytes: the draw order of every pattern, fill step included.
+
+    The spread-0 cluster, the 16x16 clustered and the 12x12 and 8x6 ring-arcs
+    specs saturate and reach the fill; uniform takes every cell from it.
+    """
+
+    CASES = [
+        (dict(height=7, width=5, density=0.4, pattern="uniform", seed=0),
+         "9dc1014898009e1f"),
+        (dict(height=16, width=12, density=1.0, pattern="uniform", features="constant",
+              constant_value=2.5, seed=2), "89fe76ca40971536"),
+        (dict(height=9, width=9, density=0.0, pattern="uniform", seed=1), "e3b0c44298fc1c14"),
+        (dict(height=24, width=20, density=0.1, pattern="clustered", seed=3),
+         "048b7de336259bd5"),
+        # one cluster with spread 0 places one cell, then the fill takes the rest
+        (dict(height=12, width=10, density=0.5, pattern="clustered", clusters=1, spread=0.0,
+              seed=4), "c1cd7cad99fc483b"),
+        (dict(height=16, width=16, density=0.7, pattern="clustered", clusters=2, spread=1.0,
+              seed=5), "334ba6603f634bcd"),
+        (dict(height=1, width=1, density=1.0, pattern="clustered", seed=0), "7f9c305f747feaed"),
+        (dict(height=10, width=8, density=0.0, pattern="clustered", seed=9), "e3b0c44298fc1c14"),
+        (dict(height=32, width=32, density=0.05, pattern="ring-arcs", seed=4),
+         "cfeece772ceee2c7"),
+        (dict(height=12, width=12, density=0.9, pattern="ring-arcs", features="constant",
+              constant_value=-1.0, seed=6), "c544de9451337206"),
+        (dict(height=8, width=6, density=1.0, pattern="ring-arcs", arcs=1, seed=7),
+         "fde56cda11054033"),
+    ]
+
+    @pytest.mark.parametrize("fields,digest", CASES)
+    def test_scene_bytes(self, fields, digest):
+        t = generate(SceneSpec(channels=3, **fields))
+        h = hashlib.sha256(t.rc.astype(np.int64).tobytes() + t.features.tobytes())
+        assert h.hexdigest()[:16] == digest
 
 
 class TestPresets:

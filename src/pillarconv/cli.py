@@ -61,7 +61,7 @@ from .importance import (
     select_topk,
     topk_count,
 )
-from .scenes import SCENE_PRESETS, SceneSpec, generate, preset_scene
+from .scenes import SCENE_PRESETS, SceneSpec, check_seed, generate, preset_scene
 from .tensor import PillarTensor, load_plt, save_plt
 from .util import fmt_float, sha256_file
 
@@ -234,6 +234,7 @@ def _verify_case(t: PillarTensor, k: Kernel, t_percent: float, tol: float) -> tu
 
 
 def cmd_verify(args) -> int:
+    check_seed(args.seed)
     cases: list[tuple[str, PillarTensor, Kernel]] = []
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     if args.scene:

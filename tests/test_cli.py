@@ -363,6 +363,14 @@ class TestErrorsAndUsage:
         ["--pattern", "clustered", "--spread", "-1"],
         ["--height", "-4"],
         ["--width", "0"],
+        # the sampler cannot take these; they fail before any draw
+        ["--seed", "-1"],
+        ["--seed", str(2**128)],
+        ["--channels", "-1"],
+        ["--channels", "0"],
+        ["--pattern", "clustered", "--clusters", "0"],
+        ["--pattern", "clustered", "--clusters", "-3"],
+        ["--pattern", "ring-arcs", "--arcs", str(2**32)],
     ])
     def test_bad_gen_spec_reports_error(self, tmp_path, capsys, args):
         base = {"--height": "24", "--width": "24", "--density": "0.15"}
@@ -373,6 +381,13 @@ class TestErrorsAndUsage:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "s.plt").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_verify_seed_outside_the_key_range_reports_error(self, tmp_path, capsys, seed):
+        assert main(["verify", "--seed", seed, "--cases", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert "seed" in captured.err and captured.out == ""
 
     def test_indivisible_grid_reports_error(self, tmp_path, capsys):
         path = tmp_path / "odd.plt"

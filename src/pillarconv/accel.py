@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .conv import Kernel, Rulebook, _check_join_input
-from .errors import BadKernelShapeError, ShapeMismatchError
+from .errors import BadKernelShapeError, ShapeMismatchError, SpecMismatchError
 from .tensor import Coord, as_coords_array, sorted_unique
 from .util import ceil_div
 
@@ -52,6 +52,14 @@ class AcceleratorConfig:
     lat_merge: int = 1
     lat_dilate: int = 1
     lat_expand: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("array_rows", "array_cols", "lat_align", "lat_merge", "lat_dilate",
+                     "lat_expand"):
+            if getattr(self, name) < 1:
+                raise SpecMismatchError(f"{name} {getattr(self, name)} must be >= 1")
+        if self.sram_kbytes < 0:
+            raise SpecMismatchError(f"sram_kbytes {self.sram_kbytes} must be >= 0")
 
     @property
     def sram_values(self) -> int:
@@ -106,7 +114,7 @@ def generate_rules_pipelined(
         raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")
     cfg = cfg or AcceleratorConfig()
     pts = as_coords_array(coords)
-    _check_join_input(pts, (height, width))
+    _check_join_input(pts, k, "stride1", (height, width), (height, width))
     n = pts.shape[0]
     fl = np.asarray(flags, dtype=bool)
     if fl.shape != (n,):

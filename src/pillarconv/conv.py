@@ -13,19 +13,24 @@ builders here differ only in which output set they commit to:
   neighborhoods of a selected subset. With nothing selected this is the
   submanifold rulebook, with everything selected it is the full sparse one.
 
-All five builders are thin entry points over one vectorised kernel-map join,
-`_kernel_map`, on (n, 2) int64 coordinates and linearised keys. They accept
-(n, 2) arrays or any sequence of (row, col) pairs in strictly row-major order;
-`Rulebook.output_coords` is a tuple view of `output_rc`.
+All five builders are one call each to the vectorised kernel-map join
+`_kernel_map` on (n, 2) int64 coordinates and linearised keys, naming its
+form and grids. Weight index w enumerates a kernel's offsets (dr, dc) in
+row-major order, and input (r, c) reaches under offset w, in each form:
 
-Offset conventions. For odd stride-1 kernels (the only stride-1 form) weight
-index w enumerates centered offsets (dr, dc) in row-major order, and a tuple
-pairs input i with output o exactly when coord(o) - coord(i) = offset(w).
-The only strided form is the 2x2/stride-2 pair: the downsampling convolution
-sends input (r, c) to output (r // 2, c // 2) under weight offset
-(r % 2, c % 2), and the transposed convolution sends input (r, c) to the four
-outputs (2r + dr, 2c + dc), clipped to the output bounds. Stride-1 output
-positions use same padding; positions reached outside the grid are dropped.
+* "stride1" (submanifold, full sparse, selective; odd kernels, offsets
+  centered, same padding: input grid = output grid): (r + dr, c + dc);
+* "down" (2x2 stride 2, h x w input grid, ceil(h/2) x ceil(w/2) output
+  grid): (r // 2, c // 2), under the offset (r % 2, c % 2) alone;
+* "up" (transposed 2x2 stride 2; only the output grid is known):
+  (2r + dr, 2c + dc).
+
+Targets off the output grid are dropped. One door, `_check_join_input`,
+checks what the join assumes, for every builder and for
+`accel.generate_rules_pipelined`: the kernel fits the form, each known grid
+fits the int64 key space, and the coords are strictly row-major on the input
+grid (non-negative for "up"). Builders take (n, 2) arrays or sequences of
+(row, col) pairs; `Rulebook.output_coords` is a tuple view of `output_rc`.
 
 Tuples are stored offset-major: sorted by (weight_index, output_index), the
 order execution runs them in, one GEMM per offset. The join emits them in
@@ -84,6 +89,7 @@ from .tensor import (
     Coord,
     DenseGrid,
     PillarTensor,
+    _require_key_space,
     as_coords_array,
     as_tuples,
     coords_of_keys,
@@ -93,6 +99,11 @@ from .tensor import (
 
 
 # -- kernels -----------------------------------------------------------------
+
+
+def _require_channels(c_in: int, c_out: int) -> None:
+    if c_in < 1 or c_out < 1:
+        raise ShapeMismatchError(f"kernel channels must be >= 1, got {c_in} in, {c_out} out")
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,7 @@ class Kernel:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
+        _require_channels(self.c_in, self.c_out)
         if self.stride == 1:
             if self.k_h < 1 or self.k_w < 1 or self.k_h % 2 == 0 or self.k_w % 2 == 0:
                 raise BadKernelShapeError(
@@ -180,6 +192,7 @@ class Kernel:
         Weights are normal with std 1/sqrt(taps * c_in); bias is normal *
         bias_scale (zero bias by default).
         """
+        _require_channels(c_in, c_out)
         rng = np.random.Generator(np.random.Philox(key=seed))
         w = rng.standard_normal((k_h * k_w, c_in, c_out)) * (1.0 / np.sqrt(k_h * k_w * c_in))
         b = rng.standard_normal(c_out) * bias_scale
@@ -255,64 +268,63 @@ class Rulebook:
         )
 
 
-def _require_stride1(k: Kernel, op: str) -> None:
-    if k.stride != 1:
-        raise StrideUnsupportedError(f"{op} requires stride 1, got {k.stride}")
-
-
-def _check_join_input(rc: np.ndarray, grid: tuple[int, int] | None) -> None:
-    """The join's precondition: strictly row-major coords, on `grid` when it is known."""
+def _check_join_input(
+    rc: np.ndarray, k: Kernel, form: str, in_grid: tuple[int, int] | None, out_grid: tuple[int, int]
+) -> None:
+    """The join's preconditions (see the module docstring), checked in O(n) time."""
+    if form == "stride1":
+        if k.stride != 1:
+            raise StrideUnsupportedError(f"this rulebook needs stride 1, got {k.stride}")
+    elif (k.k_h, k.k_w, k.stride) != (2, 2, 2):
+        raise BadKernelShapeError(f"{form} rulebooks need a 2x2 stride-2 kernel, got "
+                                  f"{k.k_h}x{k.k_w} stride {k.stride}")
+    for grid in (in_grid, out_grid):
+        if grid is not None:
+            _require_key_space(*grid)
     r, c = rc[:, 0], rc[:, 1]
     if ((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))).any():
         raise UnsortedInputError("rulebook builders need strictly row-major sorted coords")
+    if in_grid is None:
+        if (rc < 0).any():
+            raise OutOfBoundsError("active coords must be non-negative")
     # a negative value wraps to a huge unsigned one
-    if grid is not None and ((r.view(np.uint64) >= grid[0]) | (c.view(np.uint64) >= grid[1])).any():
-        raise OutOfBoundsError(f"active coords must lie on the {grid[0]}x{grid[1]} input grid")
+    elif ((r.view(np.uint64) >= in_grid[0]) | (c.view(np.uint64) >= in_grid[1])).any():
+        raise OutOfBoundsError(f"active coords must lie on the {in_grid[0]}x{in_grid[1]} input grid")
 
 
 def _kernel_map(
-    rc: np.ndarray,
-    k: Kernel,
-    out_shape: tuple[int, int],
-    selected: Iterable[Coord] | None = None,
-    transposed: bool = False,
-    in_shape: tuple[int, int] | None = None,
+    rc: np.ndarray, k: Kernel, form: str, in_grid: tuple[int, int] | None,
+    out_grid: tuple[int, int], selected: Iterable[Coord] | None = None,
 ) -> Rulebook:
     """The join every builder runs: input coords x kernel offsets -> output set.
 
-    Without `selected` the outputs are every in-grid target of every input
-    (full sparse and strided forms). With it, the outputs are the inputs
-    united with the targets of the `selected` ones (none for submanifold);
-    targets off the output set are dropped. Every (input, offset) pair whose
-    target is an output becomes a tuple. The inputs must lie on their grid:
-    the output grid at stride 1, `in_shape` when a strided caller knows it.
-
-    Targets of stride-1 kernels are (r + dr, c + dc); of the transposed 2x2
-    form (2r + dr, 2c + dc); of the downsampling 2x2 form ((r - dr) / 2,
-    (c - dc) / 2) when both divide, i.e. the offset of the input's parity.
-    All taps x n targets are formed in one broadcast, bounds-checked per axis
-    so no key wraps into the next row, and linearised on the output grid.
-    Output keys are sorted and targets are matched to them by binary search.
-    For strictly row-major input every offset's target map is strictly
-    monotone (a shift, a transpose, or a downsample within one parity
-    class), so scanning the (taps, n) hits row by row yields the tuples
-    already sorted by (offset, output). That input order is the join's
-    precondition, checked here with the input grid by `_check_join_input`.
+    Without `selected` the outputs are every in-grid target of every input.
+    With it, the outputs are the inputs united with the targets of the
+    `selected` ones (none for submanifold); targets off the output set are
+    dropped. Every (input, offset) pair whose target is an output becomes a
+    tuple. All taps x n targets (see the module docstring for each form) are
+    formed in one broadcast, bounds-checked per axis so no key wraps into the
+    next row, and linearised on the output grid. Output keys are sorted and
+    targets are matched to them by binary search. For strictly row-major
+    input every offset's target map is strictly monotone (a shift, a
+    transpose, or a downsample within one parity class), so scanning the
+    (taps, n) hits row by row yields the tuples already sorted by (offset,
+    output).
     """
-    _check_join_input(rc, out_shape if k.stride == 1 else in_shape)
-    out_h, out_w = out_shape
+    _check_join_input(rc, k, form, in_grid, out_grid)
+    out_h, out_w = out_grid
     r, c = rc[:, 0], rc[:, 1]
     dr, dc = k.offset_array[:, :, None]
-    if k.stride == 1:
+    if form == "stride1":
         tr, tc = r + dr, c + dc
-    elif transposed:
+    elif form == "up":
         tr, tc = 2 * r + dr, 2 * c + dc
     else:
         sr, sc = r - dr, c - dc
         tr, tc = sr >> 1, sc >> 1
     # negative values wrap to huge unsigned ones, so one compare checks both ends
     ok = (tr.view(np.uint64) < out_h) & (tc.view(np.uint64) < out_w)
-    if k.stride == 2 and not transposed:
+    if form == "down":
         ok &= ((sr | sc) & 1) == 0
     w, i = ok.nonzero()
     keys = (tr * out_w + tc)[w, i]
@@ -333,21 +345,14 @@ def _kernel_map(
     return Rulebook(i, w, o, out_rc, out_h, out_w)
 
 
-def build_rulebook_subm(
-    active: Sequence[Coord], k: Kernel, bounds: tuple[int, int] | None = None
-) -> Rulebook:
+def build_rulebook_subm(active: Sequence[Coord], k: Kernel, bounds: tuple[int, int]) -> Rulebook:
     """Submanifold rulebook: outputs exactly the active set.
 
     A tuple (i, w, o) exists iff both ends are active and
     coord(o) - coord(i) = offset(w). Bounds never affect the tuple set; they
-    record the output grid dims (inferred from the coords if omitted), and
-    every active coord must lie inside them.
+    record the output grid dims, and every active coord must lie inside them.
     """
-    _require_stride1(k, "submanifold convolution")
-    rc = as_coords_array(active)
-    if bounds is None:
-        bounds = (int(rc[:, 0].max(initial=0)) + 1, int(rc[:, 1].max(initial=0)) + 1)
-    return _kernel_map(rc, k, bounds, selected=())
+    return _kernel_map(as_coords_array(active), k, "stride1", bounds, bounds, selected=())
 
 
 def build_rulebook_sparse(
@@ -355,12 +360,11 @@ def build_rulebook_sparse(
 ) -> Rulebook:
     """Dilating sparse rulebook: outputs everywhere any input reaches.
 
-    Stride 1 uses same padding (output grid = input grid, so the active
-    coords must lie on `out_bounds`); targets landing outside it are
-    dropped. Stride 2 maps input (r, c) to output ((r - dr) / 2,
-    (c - dc) / 2) for the offset of matching parity.
+    Stride 1 only, with same padding: the output grid is the input grid, so
+    the active coords must lie on `out_bounds`, and targets landing outside
+    it are dropped. The strided form is `build_rulebook_downsample2x2`.
     """
-    return _kernel_map(as_coords_array(active), k, out_bounds)
+    return _kernel_map(as_coords_array(active), k, "stride1", out_bounds, out_bounds)
 
 
 def build_rulebook_downsample2x2(
@@ -372,10 +376,8 @@ def build_rulebook_downsample2x2(
     h x w input grid, contributes one tuple at (r // 2, c // 2) with weight
     offset (r % 2, c % 2).
     """
-    if (k.k_h, k.k_w, k.stride) != (2, 2, 2):
-        raise BadKernelShapeError("downsample needs a 2x2 stride-2 kernel")
     h, w = in_bounds
-    return _kernel_map(as_coords_array(active), k, ((h + 1) // 2, (w + 1) // 2), in_shape=in_bounds)
+    return _kernel_map(as_coords_array(active), k, "down", in_bounds, ((h + 1) // 2, (w + 1) // 2))
 
 
 def build_rulebook_deconv2x2(
@@ -383,12 +385,10 @@ def build_rulebook_deconv2x2(
 ) -> Rulebook:
     """2x2 stride-2 transposed convolution.
 
-    Input (r, c) produces outputs (2r + dr, 2c + dc) for each weight offset,
-    clipped to `out_bounds`.
+    Input (r, c), which must be non-negative, produces outputs
+    (2r + dr, 2c + dc) for each weight offset, clipped to `out_bounds`.
     """
-    if (k.k_h, k.k_w, k.stride) != (2, 2, 2):
-        raise BadKernelShapeError("deconv needs a 2x2 stride-2 kernel")
-    return _kernel_map(as_coords_array(active), k, out_bounds, transposed=True)
+    return _kernel_map(as_coords_array(active), k, "up", None, out_bounds)
 
 
 def build_rulebook_selective(
@@ -404,9 +404,7 @@ def build_rulebook_selective(
     kernel reach, so outputs created by a neighbor's dilation still receive
     contributions from non-selected inputs.
     """
-    _require_stride1(k, "selective dilation")
-    rc = as_coords_array(active)
-    return _kernel_map(rc, k, out_bounds, selected=selected)
+    return _kernel_map(as_coords_array(active), k, "stride1", out_bounds, out_bounds, selected)
 
 
 # -- execution ---------------------------------------------------------------

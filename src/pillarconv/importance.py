@@ -142,12 +142,15 @@ def pillar_importance(t: PillarTensor, cfg: ImportanceConfig | None = None) -> S
 def topk_count(n: int, t_percent: float) -> int:
     """Number of pillars selected at t percent out of n: ceil(t% * n), clamped.
 
-    t <= 0 counts none. Raises NonFiniteValueError for a NaN or infinite t.
+    t <= 0 counts none and t >= 100 all. Raises NonFiniteValueError for a NaN
+    or infinite t.
     """
     if not math.isfinite(t_percent):
         raise NonFiniteValueError(f"top-k percent must be finite, got {t_percent}")
     if n == 0 or t_percent <= 0:
         return 0
+    if t_percent >= 100:  # before the product, which overflows for t near the float max
+        return n
     # tiny slack so exact products like 50% of 4 do not ceil up on float noise
     k = math.ceil(t_percent * n / 100.0 - 1e-9)
     return max(1, min(n, k))

@@ -52,6 +52,11 @@ FEATURE_DTYPE = np.float32
 _MAX_CELLS = np.iinfo(np.int64).max
 
 
+def _require_key_space(height: int, width: int) -> None:
+    if int(height) * int(width) > _MAX_CELLS:
+        raise ShapeMismatchError(f"{height}x{width} grid exceeds the int64 key space")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -152,8 +157,7 @@ class PillarTensor:
     def __post_init__(self) -> None:
         if self.height <= 0 or self.width <= 0 or self.channels <= 0:
             raise ShapeMismatchError("height, width and channels must be positive")
-        if int(self.height) * int(self.width) > _MAX_CELLS:
-            raise ShapeMismatchError(f"{self.height}x{self.width} grid exceeds the int64 key space")
+        _require_key_space(self.height, self.width)
         rc = as_coords_array(self.rc).view()
         rc.setflags(write=False)
         feats = np.ascontiguousarray(self.features, dtype=FEATURE_DTYPE)

@@ -32,7 +32,7 @@ from pillarconv.conv import (
     build_rulebook_sparse,
     build_rulebook_subm,
 )
-from pillarconv.errors import BadKernelShapeError, ShapeMismatchError
+from pillarconv.errors import BadKernelShapeError, ShapeMismatchError, SpecMismatchError
 from pillarconv.scenes import SceneSpec, generate
 
 CFG = AcceleratorConfig()
@@ -48,6 +48,17 @@ class TestConfig:
 
     def test_default_array(self):
         assert (CFG.array_rows, CFG.array_cols) == (64, 64)
+
+    @pytest.mark.parametrize("field,value", [
+        ("array_rows", 0), ("array_cols", -4), ("sram_kbytes", -1), ("lat_align", 0),
+        ("lat_merge", 0), ("lat_dilate", -1), ("lat_expand", 0),
+    ])
+    def test_sizes_below_their_minimum_rejected(self, field, value):
+        with pytest.raises(SpecMismatchError, match=field):
+            AcceleratorConfig(**{field: value})
+
+    def test_no_sram_is_a_size(self):
+        assert AcceleratorConfig(sram_kbytes=0).sram_values == 0
 
 
 class TestDenseBaseline:

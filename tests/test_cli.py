@@ -407,6 +407,37 @@ class TestErrorsAndUsage:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_huge_topk_percent_selects_everything(self, tmp_path):
+        # t * n overflows to inf for t near the float max; the count is n from t = 100 on
+        scene = gen_scene(tmp_path)
+        huge, full = tmp_path / "huge.json", tmp_path / "full.json"
+        assert main(["run", str(scene), "--t", "1e308", "--report", str(huge)]) == 0
+        assert main(["run", str(scene), "--t", "100", "--report", str(full)]) == 0
+        assert huge.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["--array-rows", "0"],
+        ["--array-cols", "-4"],
+        ["--sram-kb", "-1"],
+    ])
+    def test_bad_accelerator_size_reports_error(self, tmp_path, capsys, args):
+        scene = gen_scene(tmp_path)
+        capsys.readouterr()
+        rep = tmp_path / "cycles.json"
+        assert main(["simulate", str(scene), "--t", "2", *args, "--report", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("c_out", ["-1", "0"])
+    def test_bad_kernel_channels_report_error(self, tmp_path, capsys, c_out):
+        scene = gen_scene(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", str(scene), "--c-out", c_out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert "channels must be >= 1" in captured.err and captured.out == ""
+
 
 class TestBlasThreads:
     @pytest.mark.parametrize("mode", ["dense", "selective"])

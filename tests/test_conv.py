@@ -102,6 +102,15 @@ class TestKernel:
         with pytest.raises(NonFiniteValueError):
             Kernel(3, 3, 2, 3, 1, w, b)
 
+    @pytest.mark.parametrize("c_in,c_out", [(0, 4), (4, 0), (-1, 4), (4, -1)])
+    def test_channels_below_one_rejected(self, c_in, c_out):
+        # seeded checks before its draw: numpy raises its own error for a negative shape
+        with pytest.raises(ShapeMismatchError, match="channels"):
+            Kernel.seeded(3, 3, c_in, c_out, 1, seed=0)
+        with pytest.raises(ShapeMismatchError, match="channels"):
+            Kernel(3, 3, c_in, c_out, 1, np.zeros((9, max(c_in, 0), max(c_out, 0))),
+                   np.zeros(max(c_out, 0)))
+
     def test_identity_passes_features_through(self):
         t = scene(6, 6, 4, 0.3, seed=1)
         k = Kernel.identity(4)

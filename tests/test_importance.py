@@ -100,6 +100,7 @@ class TestTopkCount:
         (10, 0.001, 1),   # any positive percentage selects at least one
         (7, 100.0, 7),
         (7, 300.0, 7),    # clamped to n
+        (10, 1e308, 10),  # t * n would overflow to inf
     ])
     def test_frozen_values(self, n, t, want):
         assert topk_count(n, t) == want

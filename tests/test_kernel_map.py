@@ -33,7 +33,13 @@ from pillarconv.conv import (
     build_rulebook_subm,
     execute_rulebook,
 )
-from pillarconv.errors import OutOfBoundsError, ShapeMismatchError, UnsortedInputError
+from pillarconv.errors import (
+    BadKernelShapeError,
+    OutOfBoundsError,
+    ShapeMismatchError,
+    StrideUnsupportedError,
+    UnsortedInputError,
+)
 from pillarconv.importance import Selection
 from pillarconv.scenes import SceneSpec, generate
 from pillarconv.tensor import FEATURE_DTYPE, PillarTensor, load_plt, save_plt
@@ -196,7 +202,6 @@ class TestEmptyAndInferredBounds:
         k3, k2 = kernel(3, 3), kernel(2, 2, stride=2)
         books = [
             build_rulebook_subm((), k3, bounds=(4, 4)),
-            build_rulebook_subm([], k3),
             build_rulebook_sparse((), k3, (4, 4)),
             build_rulebook_selective((), (), k3, (4, 4)),
             build_rulebook_downsample2x2((), k2, (4, 4)),
@@ -206,21 +211,6 @@ class TestEmptyAndInferredBounds:
             assert rb.n_tuples == 0 and rb.n_outputs == 0
             assert rb.output_coords == ()
             assert rb.output_rc.shape == (0, 2)
-
-    def test_subm_without_bounds_on_empty_input_is_a_1x1_grid(self):
-        rb = build_rulebook_subm((), kernel(3, 3))
-        assert (rb.out_height, rb.out_width) == (1, 1)
-
-    @SETTINGS
-    @given(grids(), odd_kernels)
-    def test_subm_without_bounds_infers_them_from_the_coords(self, grid, kshape):
-        _, _, active = grid
-        k = kernel(*kshape)
-        rb = build_rulebook_subm(active, k)
-        h = max((r for r, _ in active), default=0) + 1
-        w = max((c for _, c in active), default=0) + 1
-        assert (rb.out_height, rb.out_width) == (h, w)
-        assert_matches(rb, reference(active, k, (h, w), stride1, set(active)))
 
     def test_array_and_tuple_inputs_build_the_same_book(self):
         active = [(0, 0), (0, 3), (2, 1), (3, 3)]
@@ -233,35 +223,68 @@ class TestEmptyAndInferredBounds:
 
 
 class TestJoinPreconditions:
-    """The join's one precondition, its grid check, and the rulebook's tuple order and ranges."""
+    """The join's one door (kernel form, key space, input order and grid), and the tuple
+    order and ranges `Rulebook` checks."""
 
+    K3, K2 = kernel(3, 3), kernel(2, 2, stride=2)
+    # name: (build(active, kernel, grid), its kernel, its grid, a kernel of the wrong form
+    # and the error that kernel raises)
     BUILDERS = {
-        "subm": lambda a: build_rulebook_subm(a, kernel(3, 3), bounds=(6, 6)),
-        "selective": lambda a: build_rulebook_selective(a, a[:1], kernel(3, 3), (6, 6)),
-        "sparse": lambda a: build_rulebook_sparse(a, kernel(3, 3), (6, 6)),
-        "down": lambda a: build_rulebook_downsample2x2(a, kernel(2, 2, stride=2), (6, 6)),
-        "deconv": lambda a: build_rulebook_deconv2x2(a, kernel(2, 2, stride=2), (12, 12)),
-        "streaming": lambda a: generate_rules_pipelined(6, 6, a, [False] * len(a), kernel(3, 3)),
+        "subm": (lambda a, k, g: build_rulebook_subm(a, k, bounds=g),
+                 K3, (6, 6), K2, StrideUnsupportedError),
+        "selective": (lambda a, k, g: build_rulebook_selective(a, a[:1], k, g),
+                      K3, (6, 6), K2, StrideUnsupportedError),
+        "sparse": (lambda a, k, g: build_rulebook_sparse(a, k, g),
+                   K3, (6, 6), K2, StrideUnsupportedError),
+        "down": (lambda a, k, g: build_rulebook_downsample2x2(a, k, g),
+                 K2, (6, 6), K3, BadKernelShapeError),
+        "deconv": (lambda a, k, g: build_rulebook_deconv2x2(a, k, g),
+                   K2, (12, 12), K3, BadKernelShapeError),
+        "streaming": (lambda a, k, g: generate_rules_pipelined(*g, a, [False] * len(a), k),
+                      K3, (6, 6), K2, BadKernelShapeError),
     }
 
-    @pytest.mark.parametrize("build", sorted(BUILDERS))
-    def test_every_builder_rejects_unsorted_input(self, build):
-        with pytest.raises(UnsortedInputError):
-            self.BUILDERS[build]([(2, 2), (1, 3)])
-        with pytest.raises(UnsortedInputError):
-            self.BUILDERS[build]([(1, 1), (1, 0)])
+    def build(self, name, active, k=None, grid=None):
+        build, own_k, own_grid, _, _ = self.BUILDERS[name]
+        return build(active, k or own_k, grid or own_grid)
 
-    @pytest.mark.parametrize("build", sorted(BUILDERS))
-    def test_every_builder_rejects_duplicate_input(self, build):
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_builder_rejects_unsorted_input(self, name):
         with pytest.raises(UnsortedInputError):
-            self.BUILDERS[build]([(1, 1), (1, 1)])
+            self.build(name, [(2, 2), (1, 3)])
+        with pytest.raises(UnsortedInputError):
+            self.build(name, [(1, 1), (1, 0)])
 
-    @pytest.mark.parametrize("build", sorted(set(BUILDERS) - {"deconv"}))
-    def test_builders_reject_actives_off_their_input_grid(self, build):
-        # all but deconv know their 6x6 input grid; on it the key of (0, 6) is that of (1, 0)
-        for active in ([(0, 0), (0, 6)], [(-1, 2), (0, 0)], [(0, 0), (6, 0)], [(0, -1)]):
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_builder_rejects_duplicate_input(self, name):
+        with pytest.raises(UnsortedInputError):
+            self.build(name, [(1, 1), (1, 1)])
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_builders_reject_actives_off_their_input_grid(self, name):
+        # all but deconv know their 6x6 input grid; on it the key of (0, 6) is that of (1, 0).
+        # deconv does not know its input grid, but no input of it is negative
+        off = [[(-1, 0), (0, 0)], [(-1, 2), (0, 0)], [(0, -1)], [(0, 0), (1, -3)]]
+        if name != "deconv":
+            off += [[(0, 0), (0, 6)], [(0, 0), (6, 0)]]
+        for active in off:
             with pytest.raises(OutOfBoundsError):
-                self.BUILDERS[build](active)
+                self.build(name, active)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_builder_rejects_a_kernel_of_the_wrong_form(self, name):
+        # the form is checked before the coords: (0, 9) lies off every builder's grid
+        _, _, _, wrong, error = self.BUILDERS[name]
+        for active in ([(0, 0)], [(0, 9)]):
+            with pytest.raises(error):
+                self.build(name, active, k=wrong)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_builder_rejects_a_grid_beyond_the_key_space(self, name):
+        # 2^66 cells: row * width + col would wrap in int64
+        with pytest.raises(ShapeMismatchError, match="key space"):
+            self.build(name, [(2**32, 2**32)], grid=(2**33, 2**33))
+        self.build(name, [(2**30, 2**30)], grid=(2**31, 2**31))  # 2^62 cells fit
 
     def test_rulebook_rejects_tuples_out_of_offset_major_order(self):
         out_rc = np.array([[0, 0], [0, 1]])

@@ -81,18 +81,6 @@ class MappingStats:
 ZERO_MAPPING = MappingStats(0, 0, 0, 0, 0, 0)
 
 
-def _assemble(
-    triples: list[tuple[int, int, int]],
-    out_coords: list[Coord],
-    out_h: int,
-    out_w: int,
-) -> Rulebook:
-    """Sort (input, weight, output) tuples offset-major and freeze them into a Rulebook."""
-    t = np.array(triples, dtype=np.int64).reshape(-1, 3)
-    t = t[np.lexsort((t[:, 2], t[:, 1]))]
-    return Rulebook(t[:, 0], t[:, 1], t[:, 2], out_coords, out_h, out_w)
-
-
 def generate_rules_pipelined(
     height: int,
     width: int,
@@ -114,14 +102,8 @@ def generate_rules_pipelined(
         raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")
     cfg = cfg or AcceleratorConfig()
     pts = as_coords_array(coords)
-    _check_join_input(pts, k, "stride1", (height, width), (height, width))
-    n = pts.shape[0]
-    fl = np.asarray(flags, dtype=bool)
-    if fl.shape != (n,):
-        raise ShapeMismatchError(f"flags shape {fl.shape} for {n} entries")
-    if n == 0:
-        return _assemble([], [], height, width), ZERO_MAPPING
-
+    grid = (height, width)
+    fl = _check_join_input(pts, k, "stride1", grid, grid, np.asarray(flags, dtype=bool))
     rows = pts[:, 0]
     cols = pts[:, 1]
     row_values = np.unique(rows)
@@ -182,7 +164,9 @@ def generate_rules_pipelined(
             n_merged * cfg.lat_expand,
         )
     stats = MappingStats(len(cand), align_total, merge_total, merge_total, merge_total, cycles)
-    return _assemble(triples, out_coords, height, width), stats
+    t = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    t = t[np.lexsort((t[:, 2], t[:, 1]))]
+    return Rulebook(t[:, 0], t[:, 1], t[:, 2], out_coords, height, width), stats
 
 
 # Merged-column stages each layer form runs: row merge, dilation check, column dilation.

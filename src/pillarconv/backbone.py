@@ -17,13 +17,13 @@ One walk over the plan feeds every layer its input: trunk layers read the
 previous trunk output, a neck chain starts at its stage's output.
 `validate_network` checks channels and grids along it and `run_network` runs
 each layer along it. `run_network` returns the final tensor and one
-`LayerRecord` per layer: the planned layer plus what running it found out
-(input coordinates, output count, selected count, flops, tuples per kernel
-offset, dilation flags). Reports, FLOPs totals and the cycle simulator all
-read these records. Layer weights are seeded pseudorandom (Philox) unless
-explicit kernels are supplied; biases default to zero. Seeded kernels are
-built once per shape and seed and kept, read-only, in an LRU cache of
-`KERNEL_CACHE_SIZE` entries.
+`LayerRecord` per layer, in plan order: the planned layer plus what running
+it found out (input coordinates, output count, flops, tuples per kernel
+offset, and for selective layers the dilation flags in input entry order).
+Reports, FLOPs totals and the cycle simulator all read these records. Layer
+weights are seeded pseudorandom (Philox) unless explicit kernels are
+supplied; biases default to zero. Seeded kernels are built once per shape
+and seed and kept, read-only, in an LRU cache of `KERNEL_CACHE_SIZE` entries.
 """
 
 from __future__ import annotations
@@ -246,20 +246,24 @@ class LayerRecord:
     """One executed layer: its plan plus what running it found out.
 
     Everything else about the layer (id, kind, mode, grids, channels, kernel
-    shape) is read from `plan`. Feature values are not retained.
+    shape) is read from `plan`. Feature values are not retained. Flags are
+    recorded only where a selection ran; `selected` counts them (0 elsewhere).
     """
 
     plan: PlannedLayer
     in_coords: np.ndarray  # (n, 2) int64, row-major sorted
     active_out: int
-    selected: int  # pillars an importance selection picked; 0 outside selective layers
     flops: int
     n_per_offset: np.ndarray | None  # tuples per kernel offset; None for dense layers
-    flags: np.ndarray | None  # per-entry dilation flags, stride-1 sparse only
+    flags: np.ndarray | None  # dilation flags in in_coords order; selective layers only
 
     @property
     def layer_id(self) -> str:
         return self.plan.layer_id
+
+    @property
+    def selected(self) -> int:
+        return 0 if self.flags is None else int(np.count_nonzero(self.flags))
 
     @property
     def active_in(self) -> int:
@@ -311,7 +315,6 @@ def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTenso
     if (k.k_h, k.k_w, k.c_in, k.c_out, k.stride) != (s.k_h, s.k_w, s.c_in, s.c_out, s.stride):
         raise SpecMismatchError(f"kernel for {p.layer_id} does not match its spec")
     rb: Rulebook | None = None
-    selection: Selection | None = None
     flags: np.ndarray | None = None
     if s.mode is ConvMode.DENSE:
         grid = t.to_dense()
@@ -330,20 +333,17 @@ def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTenso
             rb = build_rulebook_deconv2x2(t.rc, k, (p.out_h, p.out_w))
         elif s.mode is ConvMode.SUBMANIFOLD:
             rb = build_rulebook_subm(t.rc, k, bounds=(p.in_h, p.in_w))
-            flags = np.zeros(t.n_active, dtype=bool)
         elif s.mode is ConvMode.SPARSE_FULL:
             rb = build_rulebook_sparse(t.rc, k, (p.in_h, p.in_w))
-            flags = np.ones(t.n_active, dtype=bool)
         else:  # ConvMode.SELECTIVE
             selection = s.selection.select(pillar_importance(t, s.selection.importance))
-            rb = build_rulebook_selective(t.rc, selection.rc, k, (p.in_h, p.in_w))
             flags = selection_flags(t, selection)
+            rb = build_rulebook_selective(t.rc, flags, k, (p.in_h, p.in_w))
         out = execute_rulebook(rb, t, k)
         if s.activation == "relu":
             out = out.with_features(np.maximum(out.features, 0))
     return out, LayerRecord(
         p, t.rc, out.n_active,
-        0 if selection is None else len(selection.rc),
         p.dense_flops if rb is None else flops_of_rulebook(rb, k.c_in, k.c_out),
         None if rb is None else rb.tuples_per_offset(k.taps),
         flags,

@@ -50,7 +50,7 @@ from .conv import (
     dense_conv_oracle,
     execute_rulebook,
 )
-from .errors import PillarConvError
+from .errors import PillarConvError, SpecMismatchError
 from .importance import (
     Aggregate,
     ImportanceConfig,
@@ -73,7 +73,11 @@ CYCLE_NOTE = (
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PILLARCONV_SEED", "0"))
+    value = os.environ.get("PILLARCONV_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise SpecMismatchError(f"PILLARCONV_SEED must be an integer, got {value!r}") from None
 
 
 def _write_manifest(path: str, argv: list[str], seed: int, inputs: list[str], outputs: list[str]) -> None:
@@ -283,10 +287,11 @@ def cmd_sweep(args) -> int:
     scene = load_plt(args.scene)
     spec = _resolve_network(args, scene)
     payloads = [(scene, spec, tv, args.weights_seed) for tv in args.t]
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if jobs > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(jobs) as pool:
             results = pool.map(_sweep_case, payloads)
     else:
         results = [_sweep_case(p) for p in payloads]
@@ -462,10 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = argv
     try:
+        args = build_parser().parse_args(argv)
+        args._argv = argv
         return args.func(args)
     except (PillarConvError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -28,9 +28,11 @@ row-major order, and input (r, c) reaches under offset w, in each form:
 Targets off the output grid are dropped. One door, `_check_join_input`,
 checks what the join assumes, for every builder and for
 `accel.generate_rules_pipelined`: the kernel fits the form, each known grid
-fits the int64 key space, and the coords are strictly row-major on the input
-grid (non-negative for "up"). Builders take (n, 2) arrays or sequences of
-(row, col) pairs; `Rulebook.output_coords` is a tuple view of `output_rc`.
+is positive and fits the int64 key space, the coords are strictly row-major
+on the input grid (non-negative for "up"), and it returns what to dilate as
+one bool flag per input, the join's one selection form (converting selected
+coords once). Builders take (n, 2) arrays or sequences of (row, col) pairs;
+`Rulebook.output_coords` is a tuple view of `output_rc`.
 
 Tuples are stored offset-major: sorted by (weight_index, output_index), the
 order execution runs them in, one GEMM per offset. The join emits them in
@@ -269,9 +271,10 @@ class Rulebook:
 
 
 def _check_join_input(
-    rc: np.ndarray, k: Kernel, form: str, in_grid: tuple[int, int] | None, out_grid: tuple[int, int]
-) -> None:
-    """The join's preconditions (see the module docstring), checked in O(n) time."""
+    rc: np.ndarray, k: Kernel, form: str, in_grid: tuple[int, int] | None,
+    out_grid: tuple[int, int], dilate=None,
+) -> np.ndarray | None:
+    """Check the join's preconditions (see the module docstring) in O(n); return the flags."""
     if form == "stride1":
         if k.stride != 1:
             raise StrideUnsupportedError(f"this rulebook needs stride 1, got {k.stride}")
@@ -280,6 +283,8 @@ def _check_join_input(
                                   f"{k.k_h}x{k.k_w} stride {k.stride}")
     for grid in (in_grid, out_grid):
         if grid is not None:
+            if min(grid) < 1:
+                raise ShapeMismatchError(f"height and width must be positive, got {grid}")
             _require_key_space(*grid)
     r, c = rc[:, 0], rc[:, 1]
     if ((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))).any():
@@ -290,28 +295,33 @@ def _check_join_input(
     # a negative value wraps to a huge unsigned one
     elif ((r.view(np.uint64) >= in_grid[0]) | (c.view(np.uint64) >= in_grid[1])).any():
         raise OutOfBoundsError(f"active coords must lie on the {in_grid[0]}x{in_grid[1]} input grid")
+    if isinstance(dilate, np.ndarray) and dilate.dtype == bool:
+        if dilate.shape != (rc.shape[0],):
+            raise ShapeMismatchError(f"flags shape {dilate.shape} for {rc.shape[0]} entries")
+        return dilate
+    return None if dilate is None else selection_mask(rc, dilate, *out_grid)
 
 
 def _kernel_map(
     rc: np.ndarray, k: Kernel, form: str, in_grid: tuple[int, int] | None,
-    out_grid: tuple[int, int], selected: Iterable[Coord] | None = None,
+    out_grid: tuple[int, int], dilate=None,
 ) -> Rulebook:
     """The join every builder runs: input coords x kernel offsets -> output set.
 
-    Without `selected` the outputs are every in-grid target of every input.
-    With it, the outputs are the inputs united with the targets of the
-    `selected` ones (none for submanifold); targets off the output set are
-    dropped. Every (input, offset) pair whose target is an output becomes a
-    tuple. All taps x n targets (see the module docstring for each form) are
-    formed in one broadcast, bounds-checked per axis so no key wraps into the
-    next row, and linearised on the output grid. Output keys are sorted and
-    targets are matched to them by binary search. For strictly row-major
+    Without `dilate` the outputs are every in-grid target of every input.
+    With per-entry `dilate` flags they are the inputs united with the targets
+    of the flagged ones (none for submanifold); targets off the output set
+    are dropped. Every (input, offset) pair whose target is an output becomes
+    a tuple. All taps x n targets (see the module docstring for each form)
+    are formed in one broadcast, bounds-checked per axis so no key wraps into
+    the next row, and linearised on the output grid. Output keys are sorted
+    and targets are matched to them by binary search. For strictly row-major
     input every offset's target map is strictly monotone (a shift, a
     transpose, or a downsample within one parity class), so scanning the
     (taps, n) hits row by row yields the tuples already sorted by (offset,
     output).
     """
-    _check_join_input(rc, k, form, in_grid, out_grid)
+    dilate = _check_join_input(rc, k, form, in_grid, out_grid, dilate)
     out_h, out_w = out_grid
     r, c = rc[:, 0], rc[:, 1]
     dr, dc = k.offset_array[:, :, None]
@@ -328,12 +338,11 @@ def _kernel_map(
         ok &= ((sr | sc) & 1) == 0
     w, i = ok.nonzero()
     keys = (tr * out_w + tc)[w, i]
-    if selected is None:
+    if dilate is None:
         out_keys = sorted_unique(keys)
         o = out_keys.searchsorted(keys)
         out_rc = coords_of_keys(out_keys, out_w)
     else:
-        dilate = selection_mask(rc, selected, out_h, out_w)
         out_keys = r * out_w + c
         out_rc = rc
         if dilate.any():
@@ -352,7 +361,7 @@ def build_rulebook_subm(active: Sequence[Coord], k: Kernel, bounds: tuple[int, i
     coord(o) - coord(i) = offset(w). Bounds never affect the tuple set; they
     record the output grid dims, and every active coord must lie inside them.
     """
-    return _kernel_map(as_coords_array(active), k, "stride1", bounds, bounds, selected=())
+    return _kernel_map(as_coords_array(active), k, "stride1", bounds, bounds, ())
 
 
 def build_rulebook_sparse(
@@ -393,16 +402,17 @@ def build_rulebook_deconv2x2(
 
 def build_rulebook_selective(
     active: Sequence[Coord],
-    selected: Iterable[Coord],
+    selected: Iterable[Coord] | np.ndarray,
     k: Kernel,
     out_bounds: tuple[int, int],
 ) -> Rulebook:
     """Selectively dilated rulebook.
 
     Output set = active union the clipped kernel neighborhoods of the
-    selected pillars. Tuples pair every active input with every output in
-    kernel reach, so outputs created by a neighbor's dilation still receive
-    contributions from non-selected inputs.
+    selected pillars, given as (row, col) pairs or as per-entry bool flags.
+    Tuples pair every active input with every output in kernel reach, so
+    outputs created by a neighbor's dilation still receive contributions
+    from non-selected inputs.
     """
     return _kernel_map(as_coords_array(active), k, "stride1", out_bounds, out_bounds, selected)
 

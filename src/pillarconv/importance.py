@@ -53,16 +53,15 @@ class ImportanceConfig:
 class Selection:
     """A selected subset of active coordinates.
 
-    `rc` accepts any collection of unique (row, col) pairs and is stored as a
-    read-only row-major sorted (m, 2) int64 array; `selected` is its
-    frozenset view, built on first use.
+    `rc` takes any collection of unique (row, col) pairs, kept in the order
+    given (the selectors keep their scores' entry order) as a read-only
+    (m, 2) int64 view; `selected` is its frozenset view, built on first use.
     """
 
     rc: np.ndarray
 
     def __post_init__(self) -> None:
-        rc = as_coords_array(self.rc)
-        rc = rc[np.lexsort((rc[:, 1], rc[:, 0]))]
+        rc = as_coords_array(self.rc).view()
         rc.setflags(write=False)
         object.__setattr__(self, "rc", rc)
 
@@ -163,16 +162,18 @@ def _require_percent(t_percent: float) -> None:
 
 
 def select_topk(scores: Mapping[Coord, float], t_percent: float) -> Selection:
-    """Select the top ceil(t% * n) scores, ties broken by (row, col) ascending."""
+    """Select the top ceil(t% * n) scores, ties broken by (row, col), rows in entry order."""
     _require_percent(t_percent)
     rc, score = _score_arrays(scores)
     k = topk_count(score.size, t_percent)
     ranked = np.lexsort((rc[:, 1], rc[:, 0], -score))
-    return Selection(rc[ranked[:k]])
+    return Selection(rc[np.sort(ranked[:k])])
 
 
 def select_threshold(scores: Mapping[Coord, float], theta: float) -> Selection:
-    """Select every pillar scoring at or above theta."""
+    """Select every pillar scoring at or above theta (+inf selects none; NaN raises)."""
+    if math.isnan(theta):
+        raise NonFiniteValueError("threshold theta must not be NaN")
     rc, score = _score_arrays(scores)
     return Selection(rc[score >= theta])
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pillarconv import backbone
+from pillarconv import backbone, conv, importance
 from pillarconv.backbone import (
     ConvMode,
     LayerSpec,
@@ -27,6 +27,7 @@ from pillarconv.backbone import (
 from pillarconv.conv import Kernel
 from pillarconv.errors import SpecMismatchError
 from pillarconv.scenes import SceneSpec, generate
+from pillarconv.tensor import selection_mask
 
 
 def small_spec(t=2.0, **kw):
@@ -177,6 +178,29 @@ class TestRunNetwork:
         down = by_id["s1.down"]
         assert down.flags is None
         assert [r.plan for r in res.reports] == plan_layers(small_spec())
+
+    @pytest.mark.parametrize("mode", list(ConvMode))
+    def test_flags_are_recorded_where_a_selection_ran(self, mode):
+        res = run_network(small_scene(), with_body_mode(small_spec(t=30.0), mode))
+        for r in res.reports:
+            if r.plan.spec.mode is ConvMode.SELECTIVE:
+                assert r.flags.dtype == bool and r.flags.shape == (r.active_in,)
+                assert r.selected == np.count_nonzero(r.flags) > 0
+            else:
+                assert r.flags is None and r.selected == 0
+
+    def test_each_selective_layer_builds_its_mask_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return selection_mask(*args)
+
+        monkeypatch.setattr(conv, "selection_mask", counting)
+        monkeypatch.setattr(importance, "selection_mask", counting)
+        res = run_network(small_scene(), small_spec())
+        selective = [r for r in res.reports if r.plan.spec.mode is ConvMode.SELECTIVE]
+        assert selective and len(calls) == len(selective)
 
     def test_empty_scene_flows_through(self):
         t = generate(SceneSpec(height=32, width=24, channels=8, density=0.0, seed=0))

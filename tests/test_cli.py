@@ -210,6 +210,32 @@ class TestSweep:
                      "--report", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("cores, want", [(8, 3), (2, 2)])
+    def test_jobs_are_capped_by_the_t_values_and_the_cores(self, tmp_path, monkeypatch,
+                                                           cores, want):
+        import multiprocessing
+
+        sizes = []
+
+        class InlinePool:  # records its size and starts no process
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, f, items):
+                return [f(x) for x in items]
+
+        scene = gen_scene(tmp_path)
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert main(["sweep", str(scene), "--t", "0", "2", "100", "--jobs", "1000"]) == 0
+        assert sizes == [want]
+
 
 class TestSimulate:
     def test_report_shape(self, tmp_path, capsys):
@@ -388,6 +414,29 @@ class TestErrorsAndUsage:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert "seed" in captured.err and captured.out == ""
+
+    def test_bad_seed_variable_reports_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PILLARCONV_SEED", "abc")
+        assert main(["verify", "--cases", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert "PILLARCONV_SEED" in captured.err and captured.out == ""
+
+    def test_nan_threshold_reports_error(self, tmp_path, capsys):
+        from pillarconv.backbone import make_pointpillars, network_to_json
+
+        scene = gen_scene(tmp_path)
+        doc = json.loads(network_to_json(make_pointpillars(height=24, width=24, channels=8)))
+        for stage in doc["stages"]:
+            for layer in stage["body"]:
+                layer["selection"] = {"kind": "threshold", "theta": float("nan")}
+        net, rep = tmp_path / "net.json", tmp_path / "report.json"
+        net.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", str(scene), "--network-json", str(net), "--report", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not rep.exists()
 
     def test_indivisible_grid_reports_error(self, tmp_path, capsys):
         path = tmp_path / "odd.plt"

@@ -174,6 +174,11 @@ class TestSelectThreshold:
     def test_infinite_theta_selects_nothing(self):
         assert select_threshold({(0, 0): 5.0}, math.inf).selected == frozenset()
 
+    def test_nan_theta_rejected(self):
+        # every comparison with NaN is false, so it would select nothing without a word
+        with pytest.raises(NonFiniteValueError):
+            select_threshold({(0, 0): 5.0}, math.nan)
+
 
 class TestCalibrateThreshold:
     def test_kth_largest_of_pool(self):

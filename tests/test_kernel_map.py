@@ -286,6 +286,18 @@ class TestJoinPreconditions:
             self.build(name, [(2**32, 2**32)], grid=(2**33, 2**33))
         self.build(name, [(2**30, 2**30)], grid=(2**31, 2**31))  # 2^62 cells fit
 
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_builder_rejects_a_non_positive_grid(self, name):
+        for grid in ((0, 0), (-1, 5), (5, 0)):
+            with pytest.raises(ShapeMismatchError, match="must be positive"):
+                self.build(name, [], grid=grid)
+
+    def test_flags_of_the_wrong_shape_are_rejected(self):
+        # a bool array is always flags, never coords, whatever its shape
+        for flags in (np.zeros(1, bool), np.zeros(3, bool), np.zeros((2, 2), bool)):
+            with pytest.raises(ShapeMismatchError, match="flags shape"):
+                build_rulebook_selective([(0, 0), (1, 1)], flags, self.K3, (6, 6))
+
     def test_rulebook_rejects_tuples_out_of_offset_major_order(self):
         out_rc = np.array([[0, 0], [0, 1]])
         Rulebook([1, 0], [0, 1], [0, 1], out_rc, 1, 2)
@@ -305,6 +317,24 @@ class TestJoinPreconditions:
         # a second tuple for one (offset, output) would be dropped by the scatter
         with pytest.raises(UnsortedInputError):
             Rulebook([0, 1], [0, 0], [0, 0], np.array([[0, 0]]), 1, 1)
+
+
+# -- dilation flags, the join's one selection form ------------------------------------
+
+
+class TestFlags:
+    @SETTINGS
+    @given(grids(), odd_kernels, st.data())
+    def test_flags_build_the_book_of_the_flagged_coords(self, grid, kshape, data):
+        h, w, active = grid
+        flags = np.array(data.draw(st.lists(st.booleans(), min_size=len(active),
+                                            max_size=len(active))), dtype=bool)
+        flagged = [rc for rc, f in zip(active, flags) if f]
+        k, k3 = kernel(*kshape), kernel(3, 3)
+        assert build_rulebook_selective(active, flags, k, (h, w)).same_tuples(
+            build_rulebook_selective(active, flagged, k, (h, w)))
+        streamed, _ = generate_rules_pipelined(h, w, active, flags, k3)
+        assert streamed.same_tuples(build_rulebook_selective(active, flagged, k3, (h, w)))
 
 
 # -- stats-only mapping against the streaming generator -----------------------------

@@ -29,6 +29,7 @@ and seed and kept, read-only, in an LRU cache of `KERNEL_CACHE_SIZE` entries.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -90,6 +91,10 @@ class SelectionSpec:
                 raise SpecMismatchError("threshold selection needs theta")
         else:
             raise SpecMismatchError(f"unknown selection kind {self.kind!r}")
+        for name in ("t", "theta"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+                raise SpecMismatchError(f"selection {name} must be a number, got {v!r}")
 
     def select(self, scores) -> Selection:
         if self.kind == "topk":

@@ -65,6 +65,23 @@ each accumulator stays in cache across its offsets. Tiling changes no bit:
   c_out is a multiple of `PANEL`, and a one-tuple segment of a longer
   offset runs as a two-row GEMM.
 
+The sparse executor takes two shortcuts, and neither changes a bit:
+
+* one product per output: when a rulebook has as many tuples as outputs
+  and hits every output (every deconvolution, a 1x1 submanifold layer),
+  each product is final. A block then keeps no accumulator and writes each
+  GEMM result p straight into its float32 rows as p + (bias + 0.0),
+  rounded once. That equals (+0.0 + p) + bias for every p and bias, signed
+  zeros included: adding +0.0 only turns -0.0 into +0.0, a zero on one
+  side leaves the sum equal to the other side, and two zeros give +0.0
+  either way. The blocks, their GEMM calls and row counts are those of the
+  accumulating case;
+* slice gathers: a segment whose inputs are consecutive entries reads them
+  as a slice of the input features instead of a fancy-index copy. The rows
+  hold the same values, so the GEMM computes the same products. That covers
+  every unclipped deconvolution run and a large share of the tuples of a
+  full sparse layer.
+
 FLOPs convention: flops = 2 * n_tuples * c_in * c_out + n_outputs * c_out.
 Every multiply-accumulate counts as two operations and every output entry
 pays one bias add per channel, whether or not the bias is zero.
@@ -437,8 +454,13 @@ def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
     Accumulates in float64, one block of outputs at a time (see the module
     docstring): a block runs one GEMM per offset over its slice of the
     offset-major tuples, so every output sums its offsets in ascending
-    order, then adds bias and rounds to float32. Output tensor lives on the
-    rulebook's output grid.
+    order, then adds bias and rounds to float32. With one product per
+    output (as many tuples as outputs, every output hit) the same GEMMs run
+    but no accumulator is kept: each product p is written straight to the
+    float32 output as p + (bias + 0.0), which equals (+0.0 + p) + bias bit
+    for bit. A segment whose inputs are consecutive entries reads them as a
+    slice rather than gathering them. Output tensor lives on the rulebook's
+    output grid.
     """
     if t.channels != k.c_in:
         raise ShapeMismatchError(f"input has {t.channels} channels, kernel wants {k.c_in}")
@@ -458,23 +480,41 @@ def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
     # at most once to any output.
     runs = np.bincount(rb.w_idx * n_blocks + rb.out_idx // block, minlength=taps * n_blocks)
     ends = runs.cumsum()
-    starts, ends = (ends - runs).tolist(), ends.tolist()
+    starts = ends - runs
+    # a run is read as a slice of feats when no tuple after its first starts a
+    # new step-one run of in_idx
+    breaks = np.flatnonzero(np.diff(rb.in_idx) != 1) + 1
+    sliced = (breaks.searchsorted(starts, "right") == breaks.searchsorted(ends - 1, "right")).tolist()
+    starts, ends = starts.tolist(), ends.tolist()
     per_offset = runs.reshape(taps, n_blocks).sum(axis=1).tolist()
+    # one product per output (see the module docstring): the accumulator has
+    # no rows, so a block's fill, bias pass and copy below touch nothing
+    single = rb.n_tuples == n_out and np.bincount(rb.out_idx, minlength=n_out).all()
+    bias0 = bias + 0.0
     out = np.empty((n_out, k.c_out), dtype=FEATURE_DTYPE)
-    acc = np.empty((min(block, n_out), k.c_out))
+    acc = np.empty((0 if single else min(block, n_out), k.c_out))
     for b, lo in enumerate(range(0, n_out, block)):
         a = acc[: min(block, n_out - lo)]
         a.fill(0.0)
         for w in range(taps):
-            start, end = starts[w * n_blocks + b], ends[w * n_blocks + b]
+            j = w * n_blocks + b
+            start, end = starts[j], ends[j]
             if end == start:
                 continue
-            x = feats[rb.in_idx[start:end]]
+            if sliced[j]:
+                i0 = int(rb.in_idx[start])
+                x = feats[i0 : i0 + end - start]
+            else:
+                x = feats[rb.in_idx[start:end]]
             if end - start == 1 < per_offset[w]:
                 p = (x.repeat(2, axis=0) @ weights[w])[:1]
             else:
                 p = x @ weights[w]
-            a[rb.out_idx[start:end] - lo] += p
+            if single:
+                p += bias0
+                out[rb.out_idx[start:end]] = p
+            else:
+                a[rb.out_idx[start:end] - lo] += p
         a += bias
         out[lo : lo + a.shape[0]] = a
     return PillarTensor(rb.out_height, rb.out_width, k.c_out, rb.output_rc, out)

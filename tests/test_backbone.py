@@ -1,5 +1,7 @@
 """Staged networks: planning, validation, execution, mode overrides."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,16 @@ class TestValidation:
             SelectionSpec(kind="threshold", theta=None)
         with pytest.raises(SpecMismatchError):
             SelectionSpec(kind="quantile", t=1.0)
+
+    @pytest.mark.parametrize("sel", [{"kind": "topk", "t": "abc"},
+                                     {"kind": "topk", "t": True},
+                                     {"kind": "threshold", "theta": [0.5]},
+                                     {"kind": "threshold", "theta": False}])
+    def test_non_numeric_selection_parameter_rejected(self, sel):
+        doc = json.loads(network_to_json(small_spec()))
+        doc["stages"][0]["body"][0]["selection"] = sel
+        with pytest.raises(SpecMismatchError, match="must be a number"):
+            network_from_json(json.dumps(doc))
 
 
 class TestJsonRoundTrip:

@@ -438,6 +438,22 @@ class TestErrorsAndUsage:
         assert err.startswith("error:") and "Traceback" not in err
         assert not rep.exists()
 
+    @pytest.mark.parametrize("sel", [{"kind": "topk", "t": "abc"},
+                                     {"kind": "threshold", "theta": "0.5"}])
+    def test_non_numeric_selection_parameter_reports_error(self, tmp_path, capsys, sel):
+        from pillarconv.backbone import make_pointpillars, network_to_json
+
+        scene = gen_scene(tmp_path)
+        doc = json.loads(network_to_json(make_pointpillars(height=24, width=24, channels=8)))
+        doc["stages"][0]["body"][0]["selection"] = sel
+        net, rep = tmp_path / "net.json", tmp_path / "report.json"
+        net.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", str(scene), "--network-json", str(net), "--report", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not rep.exists()
+
     def test_indivisible_grid_reports_error(self, tmp_path, capsys):
         path = tmp_path / "odd.plt"
         rc = main(["gen", "--height", "30", "--width", "24", "--channels", "8",

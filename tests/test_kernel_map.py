@@ -462,6 +462,70 @@ class TestExecution:
             out = execute_rulebook(rb, t, k)
         assert out.features.tobytes() == execute_add_at(rb, t, k).tobytes()
 
+    @pytest.mark.parametrize("budget", [64, 4096, conv.ACC_BYTES])
+    def test_deconv_signed_zeros(self, budget):
+        # one product per output: p + (bias + 0.0) must equal (+0.0 + p) + bias,
+        # so a zero row's outputs are +0.0 whatever the signs of product and bias
+        active = [(r, c) for r in range(9) for c in range(7)]
+        rng = np.random.default_rng(5)
+        feats = rng.standard_normal((len(active), 4)).astype(FEATURE_DTYPE)
+        feats[::3] = 0.0
+        feats[1::3] = -0.0
+        t = PillarTensor(9, 7, 4, active, feats)
+        k = Kernel.seeded(2, 2, 4, 8, 2, seed=3, bias_scale=0.0)
+        assert np.signbit(k.bias).any() and not np.signbit(k.bias).all()
+        rb = build_rulebook_deconv2x2(active, k, (18, 14))
+        assert rb.n_tuples == rb.n_outputs
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            out = execute_rulebook(rb, t, k).features
+        assert out.tobytes() == execute_add_at(rb, t, k).tobytes()
+        zero = np.isin(rb.in_idx, np.flatnonzero(~feats.any(axis=1)))
+        assert zero.any() and not np.signbit(out[rb.out_idx[zero]]).any()
+
+    @pytest.mark.parametrize("budget", [64, 4096, conv.ACC_BYTES])
+    def test_1x1_submanifold(self, budget):
+        rng = np.random.default_rng(6)
+        active = sorted(map(tuple, np.argwhere(rng.random((20, 20)) < 0.4).tolist()))
+        t = PillarTensor(20, 20, 5, active,
+                         rng.standard_normal((len(active), 5)).astype(FEATURE_DTYPE))
+        k = Kernel.seeded(1, 1, 5, 16, seed=6, bias_scale=0.5)
+        rb = build_rulebook_subm(active, k, bounds=(20, 20))
+        assert rb.n_tuples == rb.n_outputs
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            out = execute_rulebook(rb, t, k)
+        assert out.features.tobytes() == execute_add_at(rb, t, k).tobytes()
+
+    def test_as_many_tuples_as_outputs_but_an_empty_output(self):
+        # output 1 gets two tuples and output 2 none: products must add up,
+        # and the empty output must read +0.0 + bias
+        t = PillarTensor(2, 2, 2, [(0, 0), (0, 1)],
+                         np.array([[1.0, -2.0], [0.5, 3.0]], dtype=FEATURE_DTYPE))
+        k = Kernel(1, 3, 2, 3, 1, np.arange(18.0).reshape(3, 2, 3) / 7,
+                   np.array([-0.0, 0.0, 0.25]))
+        rb = Rulebook([0, 1, 0], [0, 0, 1], [0, 1, 1], [(0, 0), (0, 1), (1, 0)], 2, 2)
+        assert rb.n_tuples == rb.n_outputs
+        out = execute_rulebook(rb, t, k).features
+        assert out.tobytes() == execute_add_at(rb, t, k).tobytes()
+        assert out[2].tobytes() == np.array([0.0, 0.0, 0.25], dtype=FEATURE_DTYPE).tobytes()
+
+    @pytest.mark.parametrize("budget", [64, 512, 4096, conv.ACC_BYTES])
+    def test_contiguous_and_gathered_runs(self, budget):
+        # a 16x16 grid less a few cells: an off-centre offset's inputs ascend by
+        # one along each row, and the border column its targets leave breaks
+        # the run at every row; the holes are outputs with no centre tuple
+        holes = {(3, 4), (3, 5), (8, 0), (11, 13)}
+        active = [(r, c) for r in range(16) for c in range(16) if (r, c) not in holes]
+        rng = np.random.default_rng(7)
+        t = PillarTensor(16, 16, 6, active,
+                         rng.standard_normal((len(active), 6)).astype(FEATURE_DTYPE))
+        k = kernel(3, 3, 1, 6, 8, seed=7)
+        rb = build_rulebook_sparse(active, k, (16, 16))
+        steps = np.diff(rb.in_idx[rb.w_idx == 5])
+        assert (steps == 1).any() and (steps > 1).any()
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            out = execute_rulebook(rb, t, k)
+        assert out.features.tobytes() == execute_add_at(rb, t, k).tobytes()
+
     def test_production_blocks(self):
         # 64 float64 channels: 4096 outputs per block, so ~6k outputs make two
         rng = np.random.default_rng(11)

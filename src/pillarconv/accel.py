@@ -305,7 +305,8 @@ def simulate_layer(rec, cfg: AcceleratorConfig | None = None) -> LayerCycles:
     elif (spec.k_h, spec.k_w) == (3, 3):
         mapping = mapping_stats_3x3(p.in_h, rec.in_coords, cfg)
     else:
-        raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")
+        raise BadKernelShapeError(f"{p.layer_id}: the cycle model prices 1x1 and 3x3 stride-1 "
+                                  f"layers, got {spec.k_h}x{spec.k_w}")
     gemm = gemm_cycles_sparse(rec.n_per_offset, spec.c_in, spec.c_out, cfg)
     stall = stall_cycles(
         rec.active_in, rec.active_out, spec.k_h * spec.k_w, spec.c_in, spec.c_out, cfg

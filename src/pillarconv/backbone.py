@@ -73,6 +73,13 @@ class ConvMode(str, Enum):
     SELECTIVE = "selective"
 
 
+def _require(owner, kind: type, what: str, names: Sequence[str]) -> None:
+    for name in names:  # numpy numbers pass; a bool, a string or None does not
+        v = getattr(owner, name)
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise SpecMismatchError(f"{name} must be {what}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SelectionSpec:
     """How a selective layer picks pillars to dilate."""
@@ -91,10 +98,8 @@ class SelectionSpec:
                 raise SpecMismatchError("threshold selection needs theta")
         else:
             raise SpecMismatchError(f"unknown selection kind {self.kind!r}")
-        for name in ("t", "theta"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-                raise SpecMismatchError(f"selection {name} must be a number, got {v!r}")
+        given = [name for name in ("t", "theta") if getattr(self, name) is not None]
+        _require(self, numbers.Real, "a number", given)
 
     def select(self, scores) -> Selection:
         if self.kind == "topk":
@@ -114,6 +119,7 @@ class LayerSpec:
     selection: SelectionSpec | None = None
 
     def __post_init__(self) -> None:
+        _require(self, numbers.Integral, "an integer", ("c_in", "c_out", "k_h", "k_w", "stride"))
         if self.activation not in ("relu", "none"):
             raise SpecMismatchError(f"unknown activation {self.activation!r}")
         if self.mode is ConvMode.SELECTIVE and self.selection is None:
@@ -136,6 +142,9 @@ class NetworkSpec:
     channels: int
     stages: tuple[StageSpec, ...]
     neck: tuple[tuple[LayerSpec, ...], ...]  # one deconv chain per stage
+
+    def __post_init__(self) -> None:
+        _require(self, numbers.Integral, "an integer", ("height", "width", "channels"))
 
 
 @dataclass(frozen=True)
@@ -457,6 +466,8 @@ def _layer_to_json(layer: LayerSpec) -> dict:
 
 
 def _layer_from_json(d: dict) -> LayerSpec:
+    if not isinstance(d["kernel"], list) or len(d["kernel"]) != 2:
+        raise SpecMismatchError(f"layer kernel must be [k_h, k_w], got {d['kernel']!r}")
     sel = None
     if "selection" in d:
         s = d["selection"]
@@ -500,6 +511,8 @@ def network_to_json(spec: NetworkSpec) -> str:
 def network_from_json(text: str) -> NetworkSpec:
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SpecMismatchError(f"network json must be an object, got {type(doc).__name__}")
         spec = NetworkSpec(
             name=doc.get("name", "network"),
             height=doc["input"]["height"],

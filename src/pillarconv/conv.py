@@ -108,6 +108,7 @@ from .tensor import (
     Coord,
     DenseGrid,
     PillarTensor,
+    _freeze,
     _require_key_space,
     as_coords_array,
     as_tuples,
@@ -165,10 +166,8 @@ class Kernel:
             raise ShapeMismatchError(f"bias shape {b.shape}, expected ({self.c_out},)")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise NonFiniteValueError("kernel weights and bias must be finite")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "bias", _freeze(b))
 
     @property
     def taps(self) -> int:
@@ -192,9 +191,7 @@ class Kernel:
     @cached_property
     def offset_array(self) -> np.ndarray:
         """(2, taps) int64: row offsets, then column offsets, in weight order."""
-        a = np.array(self.offsets, dtype=np.int64).T.copy()
-        a.setflags(write=False)
-        return a
+        return _freeze(np.array(self.offsets, dtype=np.int64).T.copy())
 
     @staticmethod
     def seeded(
@@ -247,8 +244,7 @@ class Rulebook:
 
     def __post_init__(self) -> None:
         for name in ("in_idx", "w_idx", "out_idx"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            a.setflags(write=False)
+            a = _freeze(np.ascontiguousarray(getattr(self, name), dtype=np.int64))
             object.__setattr__(self, name, a)
         n = self.in_idx.size
         if self.w_idx.size != n or self.out_idx.size != n:
@@ -256,10 +252,9 @@ class Rulebook:
         w, o = self.w_idx, self.out_idx
         if ((w[1:] < w[:-1]) | ((w[1:] == w[:-1]) & (o[1:] <= o[:-1]))).any():
             raise UnsortedInputError("rulebook tuples must ascend strictly in (weight, output)")
-        rc = as_coords_array(self.output_rc).view()
+        rc = _freeze(as_coords_array(self.output_rc).view())
         if n and (self.in_idx.min() < 0 or w[0] < 0 or o.min() < 0 or o.max() >= rc.shape[0]):
             raise ShapeMismatchError("rulebook indices must be non-negative, outputs in range")
-        rc.setflags(write=False)
         object.__setattr__(self, "output_rc", rc)
 
     @property
@@ -278,12 +273,12 @@ class Rulebook:
         return np.bincount(self.w_idx, minlength=taps).astype(np.int64)
 
     def same_tuples(self, other: "Rulebook") -> bool:
-        """Set equality of tuples (the one tuple order makes it array equality)."""
+        """Set equality of tuples: the one tuple order makes it equality of int64 bytes."""
         return (
-            np.array_equal(self.output_rc, other.output_rc)
-            and np.array_equal(self.in_idx, other.in_idx)
-            and np.array_equal(self.w_idx, other.w_idx)
-            and np.array_equal(self.out_idx, other.out_idx)
+            self.output_rc.tobytes() == other.output_rc.tobytes()
+            and self.in_idx.tobytes() == other.in_idx.tobytes()
+            and self.w_idx.tobytes() == other.w_idx.tobytes()
+            and self.out_idx.tobytes() == other.out_idx.tobytes()
         )
 
 

@@ -3,8 +3,10 @@
 Each active pillar gets a scalar importance score in two steps: a per-pillar
 measure over its feature vector (mean or max of absolute values), then an
 optional aggregation over the active 3x3 neighborhood (identity, average, or
-max). Average pooling divides by the number of active neighbors only, so
-isolated pillars are not diluted by empty cells.
+max). Pooling reduces over the submanifold rulebook of a 3x3 kernel, whose
+tuples are the active-neighbour pairs: one weighted `bincount` (average) or
+one `np.maximum.at` (max). Average pooling divides by the number of active
+neighbors only, so isolated pillars are not diluted by empty cells.
 
 Selection picks the pillars to dilate. Top-k selection takes the highest
 ceil(t% * n) scores with ties broken by (row, col) ascending, which makes the
@@ -29,7 +31,7 @@ import numpy as np
 
 from .conv import Kernel, build_rulebook_subm
 from .errors import EmptyCalibrationPoolError, NonFiniteValueError, SpecMismatchError
-from .tensor import Coord, PillarTensor, as_coords_array, as_tuples, selection_mask
+from .tensor import Coord, PillarTensor, _freeze, as_coords_array, as_tuples, selection_mask
 
 
 class Measure(str, Enum):
@@ -61,9 +63,7 @@ class Selection:
     rc: np.ndarray
 
     def __post_init__(self) -> None:
-        rc = as_coords_array(self.rc).view()
-        rc.setflags(write=False)
-        object.__setattr__(self, "rc", rc)
+        object.__setattr__(self, "rc", _freeze(as_coords_array(self.rc).view()))
 
     @cached_property
     def selected(self) -> frozenset[Coord]:
@@ -112,29 +112,21 @@ def pillar_importance(t: PillarTensor, cfg: ImportanceConfig | None = None) -> S
     """Score every active pillar. Returns a coord -> score map in entry order."""
     cfg = cfg or ImportanceConfig()
     absf = np.abs(t.features.astype(np.float64))
-    if cfg.measure is Measure.MEAN_ABS:
-        base = absf.mean(axis=1)
-    else:
-        base = absf.max(axis=1)
+    base = absf.mean(axis=1) if cfg.measure is Measure.MEAN_ABS else absf.max(axis=1)
     if cfg.aggregate is Aggregate.IDENTITY:
         return Scores(t.rc, base)
-    # the submanifold book of a 3x3 kernel pairs each pillar i with every
-    # active neighbour j = i - offset(w); descending w visits the neighbours
-    # in row-major order, the order the pooled sum accumulates in
+    # one (in, out) tuple per active neighbour, in = out - offset(w): read back
+    # to front, the offset-major tuples reach each pillar's neighbours in
+    # row-major order, the order the pooled sum accumulates in
     rb = build_rulebook_subm(t.rc, _POOL_KERNEL, bounds=(t.height, t.width))
-    neighbour = np.full((t.n_active, 9), -1)
-    neighbour[rb.out_idx, rb.w_idx] = rb.in_idx
-    total = np.zeros(t.n_active)
-    count = np.zeros(t.n_active)
-    top = np.full(t.n_active, -np.inf)
-    for w in reversed(range(9)):
-        j = neighbour[:, w]
-        hit = j >= 0
-        value = np.where(hit, base[j], 0.0)
-        total += value
-        count += hit
-        top = np.where(hit, np.maximum(top, value), top)
-    pooled = total / count if cfg.aggregate is Aggregate.AVG_POOL else top
+    n = t.n_active
+    if cfg.aggregate is Aggregate.AVG_POOL:
+        total = np.bincount(rb.out_idx[::-1], base[rb.in_idx[::-1]], n)
+        pooled = total / np.bincount(rb.out_idx, minlength=n)
+    else:
+        pooled = np.full(n, -np.inf)
+        with np.errstate(invalid="ignore"):  # NaN carries through, as np.maximum's does
+            np.maximum.at(pooled, rb.out_idx, base[rb.in_idx])
     return Scores(t.rc, pooled)
 
 
@@ -188,8 +180,7 @@ def calibrate_threshold(score_sets: Sequence[Sequence[float]], t_percent: float)
     and SpecMismatchError for a negative t.
     """
     _require_percent(t_percent)
-    pool = np.concatenate([np.asarray(s, dtype=np.float64) for s in score_sets if len(s)]) \
-        if any(len(s) for s in score_sets) else np.zeros(0)
+    pool = np.concatenate([np.zeros(0), *(np.asarray(s, dtype=np.float64) for s in score_sets)])
     n = pool.size
     if n == 0:
         raise EmptyCalibrationPoolError("no scores to calibrate from")

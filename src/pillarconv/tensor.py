@@ -158,8 +158,7 @@ class PillarTensor:
         if self.height <= 0 or self.width <= 0 or self.channels <= 0:
             raise ShapeMismatchError("height, width and channels must be positive")
         _require_key_space(self.height, self.width)
-        rc = as_coords_array(self.rc).view()
-        rc.setflags(write=False)
+        rc = _freeze(as_coords_array(self.rc).view())
         feats = np.ascontiguousarray(self.features, dtype=FEATURE_DTYPE)
         if feats.shape != (rc.shape[0], self.channels):
             raise BadVectorLengthError(

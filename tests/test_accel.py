@@ -271,6 +271,19 @@ class TestSimulateLayer:
                 assert lc.mapping == MappingStats(per_row.size, n, n, 0, 0, cycles)
             assert sum(lc.mapping.alignment for _, lc in body) > 0
 
+    def test_unpriced_kernel_names_the_layer(self):
+        doc = json.loads(network_to_json(make_pointpillars(height=32, width=24, channels=8)))
+        for stage in doc["stages"]:
+            for layer in stage["body"]:
+                layer["kernel"] = [5, 5]
+        scene = generate(SceneSpec(height=32, width=24, channels=8, density=0.15, seed=2))
+        res = run_network(scene, network_from_json(json.dumps(doc)))
+        by_id = {r.layer_id: r for r in res.reports}
+        simulate_layer(by_id["s1.down"])
+        with pytest.raises(BadKernelShapeError, match=r"^s1\.body0: the cycle model prices "
+                                                      r"1x1 and 3x3 stride-1 layers, got 5x5$"):
+            simulate_layer(by_id["s1.body0"])
+
 
 class TestSimulateNetwork:
     def test_overlap_formula(self):

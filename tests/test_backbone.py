@@ -120,6 +120,61 @@ class TestValidation:
         with pytest.raises(SpecMismatchError, match="must be a number"):
             network_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field", ["c_in", "c_out", "k_h", "k_w", "stride"])
+    @pytest.mark.parametrize("value", [3.0, True, "3", None])
+    def test_layer_sizes_must_be_integers(self, field, value):
+        sizes = dict(c_in=4, c_out=4, k_h=3, k_w=3, stride=1)
+        sizes[field] = value
+        with pytest.raises(SpecMismatchError, match=f"{field} must be an integer"):
+            LayerSpec(mode=ConvMode.SPARSE_FULL, **sizes)
+
+    @pytest.mark.parametrize("field", ["height", "width", "channels"])
+    @pytest.mark.parametrize("value", [32.0, False, "32", None])
+    def test_network_sizes_must_be_integers(self, field, value):
+        spec = small_spec()
+        sizes = dict(height=32, width=24, channels=8)
+        sizes[field] = value
+        with pytest.raises(SpecMismatchError, match=f"{field} must be an integer"):
+            NetworkSpec("bad", stages=spec.stages, neck=spec.neck, **sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        layer = LayerSpec(mode=ConvMode.SUBMANIFOLD, c_in=np.int64(4), c_out=np.int32(4),
+                          k_h=np.int64(3), k_w=np.int64(3), stride=np.int64(1))
+        assert layer.c_in == 4
+        spec = small_spec()
+        net = NetworkSpec("np", np.int64(32), np.int64(24), np.int32(8), spec.stages, spec.neck)
+        assert net.height == 32
+
+    @pytest.mark.parametrize("path, value", [
+        (("input", "height"), 32.0),
+        (("input", "channels"), True),
+        (("stages", 0, "downsample", "c_in"), 8.0),
+        (("stages", 1, "downsample", "c_out"), "128"),
+        (("stages", 0, "body", 0, "stride"), True),
+        (("stages", 0, "body", 0, "kernel"), [3.0, 3.0]),
+    ], ids=["height-float", "channels-bool", "c_in-float", "c_out-string", "stride-bool",
+            "kernel-floats"])
+    def test_json_non_integer_size_rejected(self, path, value):
+        doc = json.loads(network_to_json(small_spec()))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SpecMismatchError, match="must be an integer"):
+            network_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("kernel", [[3], [3, 3, 3], [], 3, "33", {"h": 3, "w": 3}], ids=repr)
+    def test_json_kernel_needs_two_entries(self, kernel):
+        doc = json.loads(network_to_json(small_spec()))
+        doc["stages"][0]["body"][0]["kernel"] = kernel
+        with pytest.raises(SpecMismatchError, match="kernel must be"):
+            network_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[1]", "3", '"net"', "null"])
+    def test_json_document_must_be_an_object(self, text):
+        with pytest.raises(SpecMismatchError, match="must be an object"):
+            network_from_json(text)
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("name", ["pointpillars", "centerpoint-backbone",

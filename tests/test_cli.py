@@ -494,6 +494,51 @@ class TestErrorsAndUsage:
         assert err.startswith("error:") and "Traceback" not in err
         assert not rep.exists()
 
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["stages"][0]["downsample"].update(c_in=8.0), "c_in"),
+        (lambda doc: doc["stages"][1]["downsample"].update(c_out="128"), "c_out"),
+        (lambda doc: doc["stages"][0]["body"][0].update(kernel=[3.0, 3.0]), "k_h"),
+        (lambda doc: doc["stages"][0]["body"][0].update(kernel=[3]), "kernel"),
+        (lambda doc: doc["stages"][0]["body"][0].update(stride=True), "stride"),
+        (lambda doc: doc["input"].update(height=24.0), "height"),
+        (lambda doc: [1], "object"),
+    ], ids=["c_in-float", "c_out-string", "kernel-floats", "kernel-one-entry", "stride-bool",
+            "height-float", "document-list"])
+    def test_non_integer_network_size_reports_error(self, tmp_path, capsys, command, edit,
+                                                    field):
+        from pillarconv.backbone import make_pointpillars, network_to_json
+
+        scene = gen_scene(tmp_path)
+        doc = json.loads(network_to_json(make_pointpillars(height=24, width=24, channels=8)))
+        doc = edit(doc) or doc
+        net, rep = tmp_path / "net.json", tmp_path / "report.json"
+        net.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(scene), "--network-json", str(net), "--report", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("error:") and "Traceback" not in err
+        assert field in err
+        assert not rep.exists()
+
+    def test_simulate_names_the_unpriced_kernel(self, tmp_path, capsys):
+        from pillarconv.backbone import make_pointpillars, network_to_json
+
+        scene = gen_scene(tmp_path)
+        doc = json.loads(network_to_json(make_pointpillars(height=24, width=24, channels=8)))
+        for stage in doc["stages"]:
+            for layer in stage["body"]:
+                layer["kernel"] = [5, 5]
+        net, rep = tmp_path / "net.json", tmp_path / "cycles.json"
+        net.write_text(json.dumps(doc))
+        assert main(["run", str(scene), "--network-json", str(net)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(scene), "--network-json", str(net), "--report", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("error:") and "Traceback" not in err
+        assert "s1.body0" in err and "5x5" in err and "pipelined" not in err
+        assert not rep.exists()
+
     @pytest.mark.parametrize("c_out", ["-1", "0"])
     def test_bad_kernel_channels_report_error(self, tmp_path, capsys, c_out):
         scene = gen_scene(tmp_path)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pillarconv.conv import Kernel, build_rulebook_subm
 from pillarconv.errors import (
     EmptyCalibrationPoolError,
     NonFiniteValueError,
@@ -84,6 +85,142 @@ class TestAggregates:
         )
         assert scores[(0, 0)] == 1.0
 
+
+def neighbour_table_pool(t, cfg):
+    """Reference: the neighbour-table form of 3x3 pooling.
+
+    An (n, 9) table holds each pillar's active neighbour per kernel offset,
+    -1 where none; nine passes from offset 8 down to 0 (row-major
+    neighbours) add the neighbours' base scores, an absent one as +0.0, and
+    keep their running max.
+    """
+    absf = np.abs(t.features.astype(np.float64))
+    base = absf.mean(axis=1) if cfg.measure is Measure.MEAN_ABS else absf.max(axis=1)
+    pool_kernel = Kernel(3, 3, 1, 1, 1, np.zeros((9, 1, 1)), np.zeros(1))
+    rb = build_rulebook_subm(t.rc, pool_kernel, bounds=(t.height, t.width))
+    neighbour = np.full((t.n_active, 9), -1)
+    neighbour[rb.out_idx, rb.w_idx] = rb.in_idx
+    total = np.zeros(t.n_active)
+    count = np.zeros(t.n_active)
+    top = np.full(t.n_active, -np.inf)
+    for w in reversed(range(9)):
+        j = neighbour[:, w]
+        hit = j >= 0
+        value = np.where(hit, base[j], 0.0)
+        total += value
+        count += hit
+        top = np.where(hit, np.maximum(top, value), top)
+    return total / count if cfg.aggregate is Aggregate.AVG_POOL else top
+
+
+POOLED = [pytest.param(ImportanceConfig(m, a), id=f"{m.value}-{a.value}")
+          for m in Measure for a in (Aggregate.AVG_POOL, Aggregate.MAX_POOL)]
+
+
+def tensor_of_mask(mask, features):
+    rows, cols = np.nonzero(mask)
+    return PillarTensor(mask.shape[0], mask.shape[1], features.shape[1],
+                        np.stack([rows, cols], axis=1), features)
+
+
+def wide_range_features(rng, n, c):
+    # magnitudes over 24 decades, so a sum taken in another order changes bits
+    scale = 10.0 ** rng.uniform(-8, 16, (n, 1))
+    return (rng.standard_normal((n, c)) * scale).astype(np.float32)
+
+
+def edge_mask(h, w):
+    mask = np.zeros((h, w), dtype=bool)
+    mask[[0, -1], :] = True
+    mask[:, [0, -1]] = True
+    return mask
+
+
+def seeded_tensors():
+    rng = np.random.default_rng(1313)
+    out = []
+    for i in range(60):
+        h, w = (int(v) for v in rng.integers(1, 21, 2))
+        density = float(rng.uniform(0.0, 1.0))
+        if i % 2:  # clustered: dense blobs around a few centres
+            centres = rng.integers(0, (h, w), (3, 2))
+            rr, cc = np.mgrid[:h, :w]
+            near = np.min([np.hypot(rr - r, cc - c) for r, c in centres], axis=0)
+            mask = (near < 3.0) & (rng.random((h, w)) < density + 0.3)
+        else:
+            mask = rng.random((h, w)) < density
+        c = int(rng.integers(1, 9))
+        out.append(tensor_of_mask(mask, wide_range_features(rng, int(mask.sum()), c)))
+    return out
+
+
+def shaped_tensors():
+    rng = np.random.default_rng(7)
+    masks = {
+        "empty": np.zeros((5, 7), dtype=bool),
+        "single-centre": np.pad(np.ones((1, 1), dtype=bool), ((2, 2), (3, 3))),
+        "single-corner": np.pad(np.ones((1, 1), dtype=bool), ((0, 4), (6, 0))),
+        "single-1x1": np.ones((1, 1), dtype=bool),
+        "full": np.ones((6, 5), dtype=bool),
+        "full-1xN": np.ones((1, 9), dtype=bool),
+        "full-Nx1": np.ones((8, 1), dtype=bool),
+        "sparse-1xN": rng.random((1, 23)) < 0.5,
+        "sparse-Nx1": rng.random((17, 1)) < 0.5,
+        "edges": edge_mask(7, 6),
+        "edges-and-centre": edge_mask(5, 5) | np.pad(np.ones((1, 1), dtype=bool), 2),
+    }
+    return {
+        name: tensor_of_mask(mask, wide_range_features(rng, int(mask.sum()), 3))
+        for name, mask in masks.items()
+    }
+
+
+class TestPoolingMatchesTheNeighbourTable:
+    @pytest.mark.parametrize("cfg", POOLED)
+    def test_seeded_tensors_give_identical_bytes(self, cfg):
+        for t in seeded_tensors():
+            got = pillar_importance(t, cfg).score
+            assert got.dtype == np.float64
+            assert got.tobytes() == neighbour_table_pool(t, cfg).tobytes()
+
+    @pytest.mark.parametrize("cfg", POOLED)
+    @pytest.mark.parametrize("name", sorted(shaped_tensors()))
+    def test_shaped_grids_give_identical_bytes(self, cfg, name):
+        t = shaped_tensors()[name]
+        got = pillar_importance(t, cfg).score
+        assert got.shape == (t.n_active,)
+        assert got.tobytes() == neighbour_table_pool(t, cfg).tobytes()
+
+    def test_avg_pool_adds_neighbours_in_row_major_order(self):
+        # centre (2, 2) pools nine pillars: 1e16 at its top-left neighbour,
+        # 1.0 at the other eight; 1e16 first absorbs each 1.0, 1e16 last
+        # does not, so the sum reveals the order
+        big = float(np.float32(1e16))
+        entries = [((r, c), [big if (r, c) == (1, 1) else 1.0])
+                   for r in range(1, 4) for c in range(1, 4)]
+        t = tensor_with(entries, h=5, w=5)
+        row_major = [big] + [1.0] * 8
+        forward = backward = 0.0
+        for v, u in zip(row_major, row_major[::-1]):
+            forward += v
+            backward += u
+        assert forward != backward
+        cfg = ImportanceConfig(Measure.MEAN_ABS, Aggregate.AVG_POOL)
+        scores = pillar_importance(t, cfg)
+        assert scores[(2, 2)] == forward / 9
+        assert scores.score.tobytes() == neighbour_table_pool(t, cfg).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cfg", POOLED)
+    def test_nan_feature_reaches_exactly_its_window(self, cfg):
+        mask = np.ones((5, 6), dtype=bool)
+        features = np.arange(1.0, 61.0, dtype=np.float32).reshape(30, 2)
+        features[2 * 6 + 4, 1] = np.nan  # pillar (2, 4)
+        t = tensor_of_mask(mask, features)
+        got = pillar_importance(t, cfg).score
+        assert got.tobytes() == neighbour_table_pool(t, cfg).tobytes()
+        window = (np.abs(t.rc[:, 0] - 2) <= 1) & (np.abs(t.rc[:, 1] - 4) <= 1)
+        assert np.array_equal(np.isnan(got), window)
 
 class TestTopkCount:
     @pytest.mark.parametrize("n,t,want", [

@@ -318,6 +318,24 @@ class TestJoinPreconditions:
         with pytest.raises(UnsortedInputError):
             Rulebook([0, 1], [0, 0], [0, 0], np.array([[0, 0]]), 1, 1)
 
+    def test_same_tuples_compares_all_four_arrays(self):
+        out_rc = np.array([[0, 0], [0, 1]])
+        book = Rulebook([0, 1], [0, 4], [0, 1], out_rc, 1, 2)
+        assert book.same_tuples(Rulebook(np.array([0, 1]), [0, 4], [0, 1], out_rc.copy(), 1, 2))
+        others = {
+            "output set": Rulebook([0, 1], [0, 4], [0, 1], np.array([[0, 0], [1, 1]]), 2, 2),
+            "longer output set": Rulebook([0, 1], [0, 4], [0, 1],
+                                          np.array([[0, 0], [0, 1], [0, 2]]), 1, 3),
+            "one w_idx entry": Rulebook([0, 1], [0, 5], [0, 1], out_rc, 1, 2),
+            "one in_idx entry": Rulebook([0, 0], [0, 4], [0, 1], out_rc, 1, 2),
+            "one out_idx entry": Rulebook([0, 1], [0, 4], [0, 0], out_rc, 1, 2),
+            "tuple count": Rulebook([0], [0], [0], out_rc, 1, 2),
+            "no tuples": Rulebook([], [], [], out_rc, 1, 2),
+        }
+        for name, other in others.items():
+            assert not book.same_tuples(other), name
+            assert not other.same_tuples(book), name
+
 
 # -- dilation flags, the join's one selection form ------------------------------------
 

@@ -29,7 +29,7 @@ Flops convention in reports: 2 * tuples * c_in * c_out + outputs * c_out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from .conv import Kernel, Rulebook, _check_join_input
 from .errors import BadKernelShapeError, ShapeMismatchError, SpecMismatchError
 from .tensor import Coord, as_coords_array, sorted_unique
-from .util import ceil_div
+from .util import ceil_div, require_fields
 
 BYTES_PER_VALUE = 4
 SPILL_LINE_VALUES = 64
@@ -54,6 +54,7 @@ class AcceleratorConfig:
     lat_expand: int = 1
 
     def __post_init__(self) -> None:
+        require_fields(self, [f.name for f in fields(self)], SpecMismatchError)
         for name in ("array_rows", "array_cols", "lat_align", "lat_merge", "lat_dilate",
                      "lat_expand"):
             if getattr(self, name) < 1:

@@ -61,7 +61,8 @@ from .importance import (
     select_topk,
     selection_flags,
 )
-from .tensor import DenseGrid, PillarTensor, concat_channels, from_dense
+from .tensor import PillarTensor, concat_channels, from_dense
+from .util import require_fields
 
 _T = TypeVar("_T")
 
@@ -71,13 +72,6 @@ class ConvMode(str, Enum):
     SPARSE_FULL = "sparse"
     SUBMANIFOLD = "subm"
     SELECTIVE = "selective"
-
-
-def _require(owner, kind: type, what: str, names: Sequence[str]) -> None:
-    for name in names:  # numpy numbers pass; a bool, a string or None does not
-        v = getattr(owner, name)
-        if isinstance(v, bool) or not isinstance(v, kind):
-            raise SpecMismatchError(f"{name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class SelectionSpec:
         else:
             raise SpecMismatchError(f"unknown selection kind {self.kind!r}")
         given = [name for name in ("t", "theta") if getattr(self, name) is not None]
-        _require(self, numbers.Real, "a number", given)
+        require_fields(self, given, SpecMismatchError, numbers.Real, "a number")
 
     def select(self, scores) -> Selection:
         if self.kind == "topk":
@@ -119,7 +113,7 @@ class LayerSpec:
     selection: SelectionSpec | None = None
 
     def __post_init__(self) -> None:
-        _require(self, numbers.Integral, "an integer", ("c_in", "c_out", "k_h", "k_w", "stride"))
+        require_fields(self, ("c_in", "c_out", "k_h", "k_w", "stride"), SpecMismatchError)
         if self.activation not in ("relu", "none"):
             raise SpecMismatchError(f"unknown activation {self.activation!r}")
         if self.mode is ConvMode.SELECTIVE and self.selection is None:
@@ -144,7 +138,7 @@ class NetworkSpec:
     neck: tuple[tuple[LayerSpec, ...], ...]  # one deconv chain per stage
 
     def __post_init__(self) -> None:
-        _require(self, numbers.Integral, "an integer", ("height", "width", "channels"))
+        require_fields(self, ("height", "width", "channels"), SpecMismatchError)
 
 
 @dataclass(frozen=True)
@@ -336,10 +330,16 @@ def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTenso
             dense = dense_deconv_oracle(grid, k, (p.out_h, p.out_w))
         else:
             dense = dense_conv_oracle(grid, k)
-        # keep `dense` until from_dense returns: dropping the pre-ReLU grid
-        # earlier lowers live memory but raised kitti-dense peak RSS ~30 MB
-        data = np.maximum(dense.data, 0) if s.activation == "relu" else dense.data
-        out = from_dense(DenseGrid(data))
+        if s.activation == "relu":
+            # after ReLU a cell is active iff a channel is > 0 or NaN, that is
+            # iff its max (NaN if any channel is) is not <= 0; so the ReLU
+            # runs in place on the gathered cells only, never on the grid
+            keep = ~(dense.data.max(axis=2) <= 0)
+            feats = dense.data[keep]
+            np.maximum(feats, 0, out=feats)
+            out = PillarTensor(dense.height, dense.width, dense.channels, np.argwhere(keep), feats)
+        else:
+            out = from_dense(dense)
     else:
         if p.kind == "downsample":
             rb = build_rulebook_downsample2x2(t.rc, k, (p.in_h, p.in_w))

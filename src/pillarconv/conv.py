@@ -49,14 +49,29 @@ straight into the float32 result, so no full-grid float64 array exists and
 each accumulator stays in cache across its offsets. Tiling changes no bit:
 
 * per-output tap order: every output still sums its products in ascending
-  offset order, starting from +0.0, and adds the bias last. The transposed
-  oracle computes (+0.0 + product) + bias, so a -0.0 product cannot meet a
-  -0.0 bias (seeded zero biases hold some) and leave -0.0 behind;
-* per-row GEMM: a dense tile makes, for each of its rows and offsets, the
-  same BLAS call the whole-grid form makes for that row (same row count,
-  strides and operands), because numpy runs a 3-D matmul as one GEMM per
-  leading index. Out-of-grid taps are skipped, never multiplied by padding,
-  so the tile height cannot change a bit;
+  offset order, starting from +0.0, and adds the bias last, in the same
+  call that rounds it to float32. The transposed oracle writes each
+  product p as p + (bias + 0.0), which equals (+0.0 + p) + bias (see the
+  one-product shortcut below), so a -0.0 product cannot meet a -0.0 bias
+  (seeded zero biases hold some) and leave -0.0 behind;
+* one GEMM per (tile, tap): the conv oracle copies a tile's input rows
+  once into float64, at stride 1 padded by k_h//2 rows and k_w//2 columns
+  of zeros and flattened, so each tap's inputs for the whole tile are one
+  contiguous slice (the shift-and-add form of GEMM convolution); at 2x2
+  stride 2 it writes one contiguous block per tap, zero past an odd edge.
+  The transposed oracle reads its tile as one block. A tap's GEMM over the
+  tile is added to the flat accumulator, and the outputs that fall in the
+  padding columns are dropped. The whole-grid form makes one GEMM per
+  output row and tap instead (numpy runs a 3-D matmul as one GEMM per
+  leading index), and the tile's GEMM gives the same bits only where a GEMM
+  row does not depend on the call's row count: c_out a multiple of `PANEL`
+  (see below), and two rows or more in each row call it replaces, because
+  a one-row call runs as a GEMV, which sums in another order. Elsewhere
+  the same loop makes the row calls themselves, one per output row over
+  its in-grid columns. A zero padding row adds an exact zero to the float64
+  accumulator: weights are finite, and adding +0.0 or -0.0 leaves any value
+  but -0.0 unchanged, which an accumulator starting from +0.0 never holds.
+  So neither the tile height nor the padding can change a bit;
 * blocked sparse GEMMs: a block runs one GEMM per offset over its own
   tuples instead of one over all tuples of the offset, which is exact only
   while a GEMM row does not depend on how many rows the call has. OpenBLAS
@@ -523,54 +538,79 @@ def flops_of_rulebook(rb: Rulebook, c_in: int, c_out: int) -> int:
 # -- dense oracles -----------------------------------------------------------
 
 
+def _one_gemm(c_out: int, row_len: int) -> bool:
+    """Whether one GEMM per (tile, tap) gives the bits of per-row calls of `row_len` rows.
+
+    A GEMM row does not depend on how many rows the call has once c_out is a
+    multiple of `PANEL`; a one-row call runs as a GEMV, which sums in another
+    order (see the module docstring).
+    """
+    return c_out % PANEL == 0 and row_len >= 2
+
+
 def dense_conv_oracle(g: DenseGrid, k: Kernel) -> DenseGrid:
     """Dense convolution with the exact conventions of the sparse builders.
 
     Stride 1: same padding, out[o] = sum_w in[o - offset(w)] @ W[w] + bias.
     Stride 2 (2x2): out[(R, C)] = sum_{dr,dc} in[(2R+dr, 2C+dc)] @ W + bias
     on a ceil(h/2) x ceil(w/2) grid. No sparsity shortcuts: every output
-    position is computed, one tile of output rows at a time.
+    position is computed, one tile of output rows at a time, with one GEMM
+    per (tile, tap) where that is exact and one per output row otherwise.
     """
     if g.channels != k.c_in:
         raise ShapeMismatchError(f"grid has {g.channels} channels, kernel wants {k.c_in}")
     h, w = g.height, g.width
     step = k.stride
     out_h, out_w = -(-h // step), -(-w // step)
-    # input rows a tile of output rows [r0, r1) reads: [r0 - halo, r1 + halo)
-    # at stride 1, [2 r0, 2 r1) at stride 2
-    halo = k.k_h // 2 if step == 1 else 0
+    # Flat float64 inputs in which every tap of output (R, C) of a tile sits
+    # `shift` rows after the accumulator's row (R - r0) * aw + C. Stride 1:
+    # the tile's input rows padded by ph rows and pw columns of zeros, aw
+    # columns wide, shift = (ph - dr) * aw + pw - dc. Stride 2: one
+    # (rows, out_w) block per tap, zero-filled past an odd edge, shift 0.
+    ph, pw = (k.k_h // 2, k.k_w // 2) if step == 1 else (0, 0)
+    aw = w + 2 * pw if step == 1 else out_w
     weights = k.weights.astype(np.float64)
     bias = k.bias.astype(np.float64)
     out = np.empty((out_h, out_w, k.c_out), dtype=FEATURE_DTYPE)
-    rows = min(max(1, out_h), _tile_len(out_w * k.c_out))
-    acc = np.empty((rows, out_w, k.c_out))
-    buf = np.empty_like(acc)
-    x = np.empty((step * rows + 2 * halo, w, k.c_in))
+    rows = min(max(1, out_h), _tile_len(aw * k.c_out))
+    acc = np.empty((rows, aw, k.c_out))
+    buf = np.empty((rows * aw, k.c_out))
+    x = np.zeros((rows + 2 * ph, aw, k.c_in) if step == 1 else (k.taps, rows, aw, k.c_in))
     for r0 in range(0, out_h, rows):
         r1 = min(out_h, r0 + rows)
-        base = max(0, step * r0 - halo)
-        xs = x[: min(h, step * r1 + halo) - base]
-        xs[...] = g.data[base : base + xs.shape[0]]
-        tile = acc[: r1 - r0]
+        n = r1 - r0
+        if step == 1:
+            xs = x[: n + 2 * ph]
+            lo, a, b = r0 - ph, max(0, r0 - ph), min(h, r1 + ph)
+            xs[: a - lo, pw : pw + w] = 0.0
+            xs[a - lo : b - lo, pw : pw + w] = g.data[a:b]
+            xs[b - lo :, pw : pw + w] = 0.0
+            src = xs.reshape(-1, k.c_in)
+        tile = acc[:n]
         tile.fill(0.0)
+        flat = tile.reshape(-1, k.c_out)
         for wi, (dr, dc) in enumerate(k.offsets):
             if step == 1:
+                shift = (ph - dr) * aw + pw - dc
                 # output rows R with R - dr inside the grid, clipped to the tile
                 t0, t1 = max(r0, dr), min(r1, h + dr)
                 c0, c1 = max(0, dc), min(w, w + dc)
-                if t0 >= t1 or c0 >= c1:
-                    continue
-                src = xs[t0 - dr - base : t1 - dr - base, c0 - dc : c1 - dc]
             else:
-                t0, c0 = r0, 0
-                src = xs[dr::2, dc::2]
-            if src.shape[0] == 0 or src.shape[1] == 0:
-                continue
-            prod = buf[: src.shape[0], : src.shape[1]]
-            np.matmul(src, weights[wi], out=prod)
-            tile[t0 - r0 : t0 - r0 + prod.shape[0], c0 : c0 + prod.shape[1]] += prod
-        tile += bias
-        out[r0:r1] = tile
+                xt = x[wi, :n]
+                t0, t1 = r0, r0 + len(range(2 * r0 + dr, min(h, 2 * r1), 2))
+                c0, c1 = 0, len(range(dc, w, 2))
+                xt[: t1 - t0, :c1] = g.data[2 * r0 + dr : 2 * r1 : 2, dc::2]
+                xt[t1 - t0 :] = 0.0
+                src, shift = xt.reshape(-1, k.c_in), 0
+            if _one_gemm(k.c_out, c1 - c0):
+                spans = [(0, (n - 1) * aw + out_w)]
+            else:  # the row calls: each in-grid output row over its in-grid columns
+                spans = [((r - r0) * aw + c0, (r - r0) * aw + c1) for r in range(t0, t1) if c0 < c1]
+            for s0, s1 in spans:
+                prod = buf[: s1 - s0]
+                np.matmul(src[s0 + shift : s1 + shift], weights[wi], out=prod)
+                flat[s0:s1] += prod
+        np.add(tile[:, :out_w], bias, out=out[r0:r1])
     return DenseGrid(out)
 
 
@@ -579,8 +619,10 @@ def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | N
 
     out[(2r + dr, 2c + dc)] = (+0.0 + in[(r, c)] @ W[(dr, dc)]) + bias, clipped
     to `out_bounds`; positions no input reaches hold +0.0 + bias. Runs one
-    tile of input rows at a time; each tap's GEMM result goes straight to the
-    tile's output rows 2r + dr, columns 2c + dc (a strided view).
+    tile of input rows at a time, with one GEMM per (tile, tap) where that is
+    exact and one per input row otherwise; each result p goes straight to the
+    tile's output rows 2r + dr, columns 2c + dc (a strided view) as
+    p + (bias + 0.0), rounded once.
     """
     if g.channels != k.c_in:
         raise ShapeMismatchError(f"grid has {g.channels} channels, kernel wants {k.c_in}")
@@ -588,27 +630,29 @@ def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | N
         raise BadKernelShapeError("deconv oracle needs a 2x2 stride-2 kernel")
     out_h, out_w = out_bounds or (2 * g.height, 2 * g.width)
     weights = k.weights.astype(np.float64)
-    bias = k.bias.astype(np.float64)
+    bias0 = k.bias.astype(np.float64) + 0.0
     out = np.empty((out_h, out_w, k.c_out), dtype=FEATURE_DTYPE)
     if out_h > 2 * g.height or out_w > 2 * g.width:
-        out[...] = (np.zeros(k.c_out) + bias).astype(FEATURE_DTYPE)
+        out[...] = bias0.astype(FEATURE_DTYPE)
     # input rows and columns that reach the output grid
     in_h, in_w = min(g.height, (out_h + 1) // 2), min(g.width, (out_w + 1) // 2)
     rows = min(max(1, in_h), _tile_len(in_w * k.c_out))
     x = np.empty((rows, in_w, k.c_in))
-    buf = np.empty((rows, in_w, k.c_out))
+    buf = np.empty((rows * in_w, k.c_out))
     for r0 in range(0, in_h, rows):
         xs = x[: min(in_h, r0 + rows) - r0]
         xs[...] = g.data[r0 : r0 + xs.shape[0], :in_w]
         tile = out[2 * r0 : 2 * (r0 + xs.shape[0])]
         for wi, (dr, dc) in enumerate(k.offsets):
             dst = tile[dr::2, dc::2]
-            src = xs[: dst.shape[0], : dst.shape[1]]
-            if src.shape[0] == 0 or src.shape[1] == 0:
-                continue
-            prod = buf[: src.shape[0], : src.shape[1]]
-            np.matmul(src, weights[wi], out=prod)
-            prod += 0.0
-            prod += bias
-            dst[: prod.shape[0], : prod.shape[1]] = prod
+            nr, nc = min(xs.shape[0], dst.shape[0]), min(in_w, dst.shape[1])
+            # (first row, end row, columns) of each GEMM over the tile's inputs
+            if _one_gemm(k.c_out, nc):
+                spans = [(0, nr, in_w)]
+            else:  # the row calls
+                spans = [(r, r + 1, nc) for r in range(nr)]
+            for ra, rb, cols in spans:
+                prod = buf[: (rb - ra) * cols]
+                np.matmul(xs[ra:rb, :cols].reshape(-1, k.c_in), weights[wi], out=prod)
+                np.add(prod.reshape(rb - ra, cols, k.c_out)[:, :nc], bias0, out=dst[ra:rb, :nc])
     return DenseGrid(out)

@@ -42,7 +42,7 @@ from .errors import (
     SelectionNotSubsetError,
     ShapeMismatchError,
 )
-from .util import FLOAT_FORMAT
+from .util import FLOAT_FORMAT, require_fields
 
 Coord = tuple[int, int]
 
@@ -155,6 +155,7 @@ class PillarTensor:
     features: np.ndarray
 
     def __post_init__(self) -> None:
+        require_fields(self, ("height", "width", "channels"), ShapeMismatchError)
         if self.height <= 0 or self.width <= 0 or self.channels <= 0:
             raise ShapeMismatchError("height, width and channels must be positive")
         _require_key_space(self.height, self.width)

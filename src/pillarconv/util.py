@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
+from typing import Sequence
 
 FLOAT_FORMAT = "{:.8e}"
 
@@ -15,6 +17,17 @@ def fmt_float(x: float) -> str:
     across runs.
     """
     return FLOAT_FORMAT.format(float(x))
+
+
+def require_fields(
+    owner, names: Sequence[str], error: type[Exception],
+    kind: type = numbers.Integral, what: str = "an integer",
+) -> None:
+    """Raise `error` naming the first of `names` whose value on `owner` is not a `kind`."""
+    for name in names:  # numpy numbers pass; a bool, a string or None does not
+        v = getattr(owner, name)
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise error(f"{name} must be {what}, got {v!r}")
 
 
 def ceil_div(a: int, b: int) -> int:

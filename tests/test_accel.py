@@ -57,6 +57,19 @@ class TestConfig:
         with pytest.raises(SpecMismatchError, match=field):
             AcceleratorConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", [
+        "array_rows", "array_cols", "sram_kbytes", "lat_align", "lat_merge", "lat_dilate",
+        "lat_expand",
+    ])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_non_integer_sizes_rejected(self, field, value):
+        with pytest.raises(SpecMismatchError, match=f"{field} must be an integer"):
+            AcceleratorConfig(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = AcceleratorConfig(array_rows=np.int64(8), sram_kbytes=np.int32(2))
+        assert (cfg.array_rows, cfg.sram_values) == (8, 512)
+
     def test_no_sram_is_a_size(self):
         assert AcceleratorConfig(sram_kbytes=0).sram_values == 0
 

@@ -29,7 +29,7 @@ from pillarconv.backbone import (
 from pillarconv.conv import Kernel
 from pillarconv.errors import SpecMismatchError
 from pillarconv.scenes import SceneSpec, generate
-from pillarconv.tensor import selection_mask
+from pillarconv.tensor import DenseGrid, from_dense, from_entries, selection_mask
 
 
 def small_spec(t=2.0, **kw):
@@ -415,6 +415,30 @@ class TestActivation:
         if mode is ConvMode.SPARSE_FULL:
             assert np.array_equal(relu.rc, none.rc)
             assert np.array_equal(relu.features, np.maximum(none.features, 0))
+
+    def test_dense_relu_equals_from_dense_of_the_clamped_grid(self):
+        # one dense 2x2 stride-2 layer reading each block's top-left cell
+        # scaled by 1/4 (its other taps weigh zero): a NaN cell, a cell whose
+        # outputs are all negative, one that underflows to -0.0 beside +0.0,
+        # and one that holds -0.0 beside a positive value
+        down = LayerSpec(mode=ConvMode.DENSE, c_in=2, c_out=2, k_h=2, k_w=2, stride=2)
+        spec = NetworkSpec("relu", 4, 6, 2, (StageSpec(down, ()),), ())
+        weights = np.zeros((4, 2, 2), dtype=np.float32)
+        weights[0] = 0.25 * np.eye(2)
+        k = Kernel(2, 2, 2, 2, 2, weights, np.array([0.0, -0.0], dtype=np.float32))
+        cells = {(0, 0): [np.nan, -1.0], (0, 2): [-1.0, -2.0], (0, 4): [-1e-45, 4.0],
+                 (1, 1): [1.0, -3.0], (2, 0): [-1e-45, -0.0], (2, 2): [2.0, 0.0],
+                 (3, 5): [np.nan, np.nan]}
+        t = from_entries(4, 6, 2, cells.items())
+        res = run_network(t, spec, weights=[k])
+        clamped = np.maximum(conv.dense_conv_oracle(t.to_dense(), k).data, 0)
+        want = from_dense(DenseGrid(clamped))
+        assert want.rc.tolist() == [[0, 0], [0, 2], [1, 1], [1, 2]]
+        assert np.array_equal(res.output.rc, want.rc)
+        assert res.output.features.tobytes() == want.features.tobytes()
+        rec = res.reports[0]
+        assert np.array_equal(rec.in_coords, t.rc) and rec.flags is None
+        assert (rec.active_out, rec.flops, rec.n_per_offset) == (4, rec.plan.dense_flops, None)
 
     def test_none_round_trips_through_json(self):
         spec = self.one_stage(ConvMode.SUBMANIFOLD, "none")

@@ -221,6 +221,30 @@ def order_revealing_rows(c_in: int) -> np.ndarray:
     return np.array(rows)
 
 
+def one_product_grid(rows: np.ndarray, h: int, w: int, k: Kernel) -> DenseGrid:
+    """An h x w grid holding `rows`, spread evenly, so each output of `k` gets one nonzero product.
+
+    At stride 1 the rows sit on a k_h x k_w lattice, so every output's
+    window holds one of them; at 2x2 stride 2 each 2x2 block holds one, at
+    the tap (R + C) % 4 in row-major order. All other cells are zero and
+    their products, exact zeros, leave each output its one product's
+    order-revealing bits. A 1x1 kernel fills every cell, as the transposed
+    convolution would need.
+    """
+    data = np.zeros((h, w, rows.shape[1]), dtype=FEATURE_DTYPE)
+    if k.stride == 1:
+        rr, cc = np.mgrid[0:h:k.k_h, 0:w:k.k_w]
+    else:
+        blocks_r, blocks_c = np.mgrid[0 : (h + 1) // 2, 0 : (w + 1) // 2]
+        dr, dc = np.divmod((blocks_r + blocks_c) % 4, 2)
+        rr, cc = 2 * blocks_r + dr, 2 * blocks_c + dc
+        inside = (rr < h) & (cc < w)
+        rr, cc = rr[inside], cc[inside]
+    rr, cc = rr.ravel(), cc.ravel()
+    data[rr, cc] = rows[np.arange(rr.size) * len(rows) // rr.size]
+    return DenseGrid(data)
+
+
 def order_revealing_kernel(k_h, k_w, c_in, c_out, stride=1) -> Kernel:
     w = np.full((k_h * k_w, c_in, c_out), 1 + 2.0**-12, dtype=FEATURE_DTYPE)
     return Kernel(k_h, k_w, c_in, c_out, stride, w, np.zeros(c_out, dtype=FEATURE_DTYPE))
@@ -294,20 +318,36 @@ class TestTiledOraclesBitwise:
             want = per_tap_deconv_reference(g, k, bounds)
             assert got.data.tobytes() == want.data.tobytes()
 
-    @pytest.mark.parametrize("c_out", [3, 12, 64])
+    @pytest.mark.parametrize("c_out", [3, 8, 12, 64, 128, 256])
     @pytest.mark.parametrize("budget", [8, 4096, conv.ACC_BYTES])
     def test_same_summation_order(self, c_out, budget):
-        # 14880 order-revealing pixels: a GEMM call of another shape, which
-        # for some widths sums in another order, would change output bits
-        g = DenseGrid(order_revealing_rows(32).reshape(120, 124, 32))
-        k = order_revealing_kernel(1, 1, 32, c_out)
+        # Order-revealing outputs: a GEMM call of another shape, which for
+        # some widths sums in another order, would change output bits. c_out
+        # 3 and 12 run one GEMM per output row, the others one per (tile,
+        # tap) wherever each row call would have two rows or more. Widths 1-4
+        # make row calls of one row (a GEMV, which sums in another order) and
+        # of two.
+        rows = order_revealing_rows(32)
+        shapes = [(120, 124), (120, 1), (120, 2), (120, 3), (120, 4)]
+        kernels = [order_revealing_kernel(kh, kw, 32, c_out, stride)
+                   for kh, kw, stride in [(1, 1, 1), (3, 3, 1), (5, 3, 1), (2, 2, 2)]]
         up = order_revealing_kernel(2, 2, 32, c_out, stride=2)
+        # default, clipped and padded bounds; in_w = 1 under padded bounds
+        # makes one-row calls where the output has three columns per tap
+        deconvs = [((120, 124), None), ((120, 124), (239, 247)), ((120, 124), (241, 250)),
+                   ((60, 1), (121, 5)), ((60, 2), None), ((60, 2), (120, 3)),
+                   ((60, 3), (119, 5))]
         with mock.patch.object(conv, "ACC_BYTES", budget):
-            conv_out = dense_conv_oracle(g, k)
-            deconv_out = dense_deconv_oracle(g, up, (239, 248))
-        assert conv_out.data.tobytes() == per_tap_conv_reference(g, k).data.tobytes()
-        want = per_tap_deconv_reference(g, up, (239, 248))
-        assert deconv_out.data.tobytes() == want.data.tobytes()
+            for (h, w), k in itertools.product(shapes, kernels):
+                g = one_product_grid(rows, h, w, k)
+                got = dense_conv_oracle(g, k).data.tobytes()
+                want = per_tap_conv_reference(g, k).data.tobytes()
+                assert got == want, ((h, w), k.k_h, k.k_w, k.stride)
+            for (h, w), bounds in deconvs:
+                g = one_product_grid(rows, h, w, Kernel.identity(32))
+                got = dense_deconv_oracle(g, up, bounds).data.tobytes()
+                want = per_tap_deconv_reference(g, up, bounds).data.tobytes()
+                assert got == want, ((h, w), bounds)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_no_full_grid_float64_array(self, stride):

@@ -69,6 +69,18 @@ class TestConstruction:
             PillarTensor(4, 4, 1, ((2, 2), (1, 1)), np.zeros((2, 1), dtype=np.float32))
         validate_coords(4, 4, ((1, 1), (2, 2)))
 
+    @pytest.mark.parametrize("field,value", [
+        ("height", 4.0), ("width", 4.5), ("channels", 1.0), ("height", True), ("channels", "1"),
+    ])
+    def test_non_integer_sizes_rejected(self, field, value):
+        sizes = {"height": 4, "width": 4, "channels": 1, field: value}
+        with pytest.raises(ShapeMismatchError, match=f"{field} must be an integer"):
+            PillarTensor(sizes["height"], sizes["width"], sizes["channels"], [(0, 0)], np.ones((1, 1)))
+
+    def test_numpy_integer_sizes_accepted(self):
+        t = PillarTensor(np.int64(4), np.int32(4), np.uint8(1), [(0, 0)], np.ones((1, 1)))
+        assert t.to_dense().data.shape == (4, 4, 1)
+
     def test_features_are_read_only(self):
         t = make_tensor([(0, 0)])
         with pytest.raises(ValueError):

@@ -61,7 +61,7 @@ from .importance import (
     select_topk,
     selection_flags,
 )
-from .tensor import PillarTensor, concat_channels, from_dense
+from .tensor import PillarTensor, _freeze, _proven, concat_channels, from_dense
 from .util import require_fields
 
 _T = TypeVar("_T")
@@ -333,11 +333,14 @@ def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTenso
         if s.activation == "relu":
             # after ReLU a cell is active iff a channel is > 0 or NaN, that is
             # iff its max (NaN if any channel is) is not <= 0; so the ReLU
-            # runs in place on the gathered cells only, never on the grid
+            # runs in place on the gathered cells only, never on the grid;
+            # argwhere lists the kept cells once each, in row-major order
             keep = ~(dense.data.max(axis=2) <= 0)
             feats = dense.data[keep]
             np.maximum(feats, 0, out=feats)
-            out = PillarTensor(dense.height, dense.width, dense.channels, np.argwhere(keep), feats)
+            out = _proven(PillarTensor, height=dense.height, width=dense.width,
+                          channels=dense.channels, rc=_freeze(np.argwhere(keep)),
+                          features=_freeze(feats))
         else:
             out = from_dense(dense)
     else:

@@ -28,18 +28,26 @@ row-major order, and input (r, c) reaches under offset w, in each form:
 Targets off the output grid are dropped. One door, `_check_join_input`,
 checks what the join assumes, for every builder and for
 `accel.generate_rules_pipelined`: the kernel fits the form, each known grid
-is positive and fits the int64 key space, the coords are strictly row-major
-on the input grid (non-negative for "up"), and it returns what to dilate as
-one bool flag per input, the join's one selection form (converting selected
-coords once). Builders take (n, 2) arrays or sequences of (row, col) pairs;
-`Rulebook.output_coords` is a tuple view of `output_rc`.
+has positive integer sides and fits the int64 key space, the coords are
+strictly row-major on the input grid (non-negative for "up"), and it
+returns what to dilate as one bool flag per input, the join's one selection
+form (converting selected coords once). Builders take (n, 2) arrays or
+sequences of (row, col) pairs; `Rulebook.output_coords` is a tuple view of
+`output_rc`.
 
 Tuples are stored offset-major: sorted by (weight_index, output_index), the
 order execution runs them in, one GEMM per offset. The join emits them in
-that order without sorting, and `Rulebook` rejects any other order. Every
-output therefore receives its products in ascending offset order, so results
-are bit-for-bit reproducible. Products accumulate in float64 and round to
-float32 once at the end.
+that order without sorting. Every output therefore receives its products in
+ascending offset order, so results are bit-for-bit reproducible. Products
+accumulate in float64 and round to float32 once at the end.
+
+Each invariant is checked once. The door checks the join's input, and the
+join builds its book from those checked values with `tensor._proven`,
+skipping `Rulebook`'s checks. A book built by hand goes through them: the
+public `Rulebook` rejects any other tuple order, indices out of range, and
+an output set that is not sorted, unique and on a positive output grid
+inside the key space. So `execute_rulebook` trusts every book's output set
+and builds its result on it without a re-check.
 
 Cache-sized accumulation. Both executors keep their float64 accumulator in
 tiles of at most `ACC_BYTES`: the dense oracles in tiles of output rows, the
@@ -124,13 +132,16 @@ from .tensor import (
     DenseGrid,
     PillarTensor,
     _freeze,
+    _proven,
     _require_key_space,
     as_coords_array,
     as_tuples,
     coords_of_keys,
     selection_mask,
     sorted_unique,
+    validate_coords,
 )
+from .util import require_fields
 
 
 # -- kernels -----------------------------------------------------------------
@@ -246,8 +257,9 @@ class Rulebook:
     Parallel arrays of (input_index, weight_index, output_index), strictly
     ascending in (weight, output): offset-major, so each (weight, output)
     pair holds at most one tuple. `output_rc` is the sorted unique (n, 2)
-    output set; indices, all non-negative, refer into it (checked) and into
-    the input tensor's entry order. `output_coords` is its tuple view.
+    output set on the out_height x out_width grid (checked); indices, all
+    non-negative, refer into it (checked) and into the input tensor's entry
+    order. `output_coords` is its tuple view.
     """
 
     in_idx: np.ndarray
@@ -270,6 +282,11 @@ class Rulebook:
         rc = _freeze(as_coords_array(self.output_rc).view())
         if n and (self.in_idx.min() < 0 or w[0] < 0 or o.min() < 0 or o.max() >= rc.shape[0]):
             raise ShapeMismatchError("rulebook indices must be non-negative, outputs in range")
+        require_fields(self, ("out_height", "out_width"), ShapeMismatchError)
+        if self.out_height <= 0 or self.out_width <= 0:
+            raise ShapeMismatchError("out_height and out_width must be positive")
+        _require_key_space(self.out_height, self.out_width)
+        validate_coords(self.out_height, self.out_width, rc)
         object.__setattr__(self, "output_rc", rc)
 
     @property
@@ -310,6 +327,9 @@ def _check_join_input(
                                   f"{k.k_h}x{k.k_w} stride {k.stride}")
     for grid in (in_grid, out_grid):
         if grid is not None:
+            for v in grid:  # numpy integers pass, a bool does not
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ShapeMismatchError(f"height and width must be integers, got {grid}")
             if min(grid) < 1:
                 raise ShapeMismatchError(f"height and width must be positive, got {grid}")
             _require_key_space(*grid)
@@ -378,7 +398,9 @@ def _kernel_map(
         o = out_keys.searchsorted(keys)
         hit = out_keys.take(o, mode="clip") == keys
         i, w, o = i[hit], w[hit], o[hit]
-    return Rulebook(i, w, o, out_rc, out_h, out_w)
+    i, w, o = [_freeze(np.ascontiguousarray(a, dtype=np.int64)) for a in (i, w, o)]
+    return _proven(Rulebook, in_idx=i, w_idx=w, out_idx=o, output_rc=_freeze(out_rc.view()),
+                   out_height=out_h, out_width=out_w)
 
 
 def build_rulebook_subm(active: Sequence[Coord], k: Kernel, bounds: tuple[int, int]) -> Rulebook:
@@ -527,7 +549,8 @@ def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
                 a[rb.out_idx[start:end] - lo] += p
         a += bias
         out[lo : lo + a.shape[0]] = a
-    return PillarTensor(rb.out_height, rb.out_width, k.c_out, rb.output_rc, out)
+    return _proven(PillarTensor, height=rb.out_height, width=rb.out_width,
+                   channels=out.shape[1], rc=rb.output_rc, features=_freeze(out))
 
 
 def flops_of_rulebook(rb: Rulebook, c_in: int, c_out: int) -> int:

@@ -66,12 +66,14 @@ draw for draw.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DensityOverflowError, SpecMismatchError
-from .tensor import _MAX_CELLS, FEATURE_DTYPE, PillarTensor, coords_of_keys
+from .tensor import _MAX_CELLS, FEATURE_DTYPE, PillarTensor, _freeze, _proven, coords_of_keys
+from .util import require_fields
 from .ziggurat import FI, KI, WI
 
 PATTERNS = ("uniform", "clustered", "ring-arcs")
@@ -108,6 +110,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_fields(self, ("height", "width", "channels", "clusters", "arcs", "seed"),
+                       SpecMismatchError)
+        require_fields(self, ("density", "spread", "constant_value"), SpecMismatchError,
+                       numbers.Real, "a real number")
         if self.height <= 0 or self.width <= 0:
             raise SpecMismatchError(f"grid {self.height}x{self.width} must have positive dims")
         if self.height * self.width > _MAX_CELLS:
@@ -128,6 +134,11 @@ class SceneSpec:
             raise SpecMismatchError(f"unknown pattern {self.pattern!r}, expected {PATTERNS}")
         if self.features not in FEATURE_KINDS:
             raise SpecMismatchError(f"unknown features {self.features!r}")
+        # compared, not cast: a cast of a value beyond float32 warns and gives inf
+        if not abs(self.constant_value) <= float(np.finfo(FEATURE_DTYPE).max):
+            raise SpecMismatchError(
+                f"constant_value {self.constant_value} must be finite and within float32 range"
+            )
         check_seed(self.seed)
 
     @property
@@ -403,9 +414,12 @@ def generate(spec: SceneSpec) -> PillarTensor:
         feats = rng.standard_normal((n, spec.channels)).astype(FEATURE_DTYPE)
     else:
         feats = np.full((n, spec.channels), spec.constant_value, dtype=FEATURE_DTYPE)
+    # the sampler's keys are distinct cells of the checked grid, so sorted they
+    # are a valid active set
     order = np.argsort(keys, kind="stable")
     rc = coords_of_keys(keys[order], spec.width)
-    return PillarTensor(spec.height, spec.width, spec.channels, rc, feats[order])
+    return _proven(PillarTensor, height=spec.height, width=spec.width, channels=spec.channels,
+                   rc=_freeze(rc), features=_freeze(feats[order]))
 
 
 SCENE_PRESETS = {

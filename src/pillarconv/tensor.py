@@ -8,12 +8,17 @@ map is a row-major (height, width, channels) array with zeros at inactive
 cells.
 
 Entries are kept sorted by (row, col) ascending and coordinates are unique.
-Constructors validate both properties; `from_entries` sorts for you. Every
-set operation works on linearised keys `row * width + col`: on one grid, key
-order is row-major order, so sorted unique keys are sorted unique
-coordinates. `PillarTensor.coords` is a read-only tuple-of-tuples view of the
-array, built on first use for callers that want Python coordinates; the
-convolution path never builds it.
+Each invariant is checked once, where a value enters the program: the
+public constructor validates both properties of caller input (`from_entries`
+sorts for you, `read_plt` checks the file first). Code that derives a map
+from values already checked builds it with `_proven` and skips the
+re-check: `with_features`, `concat_channels`, the sparse executor's output
+on a rulebook's output set, a dense layer's gathered cells and the scene
+generator. Every set operation works on linearised keys `row * width +
+col`: on one grid, key order is row-major order, so sorted unique keys are
+sorted unique coordinates. `PillarTensor.coords` is a read-only
+tuple-of-tuples view of the array, built on first use for callers that
+want Python coordinates; the convolution path never builds it.
 
 Text form (PLT v1)::
 
@@ -60,6 +65,19 @@ def _require_key_space(height: int, width: int) -> None:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _proven(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, without `__post_init__`.
+
+    Only for values built from values already checked: the caller has
+    established everything the public constructor would check, and passes
+    every field as that constructor would store it (read-only arrays of the
+    stored dtype and shape, sizes that are integers).
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def as_coords_array(coords) -> np.ndarray:
@@ -191,7 +209,14 @@ class PillarTensor:
 
     def with_features(self, features: np.ndarray) -> "PillarTensor":
         """Same active set, new feature values (shape must match)."""
-        return PillarTensor(self.height, self.width, self.channels, self.rc, features)
+        feats = np.ascontiguousarray(features, dtype=FEATURE_DTYPE)
+        if feats.shape != (self.n_active, self.channels):
+            raise BadVectorLengthError(
+                f"feature array shape {feats.shape} does not match "
+                f"{self.n_active} entries x {self.channels} channels"
+            )
+        return _proven(PillarTensor, height=self.height, width=self.width,
+                       channels=self.channels, rc=self.rc, features=_freeze(feats))
 
     # -- dense conversion ---------------------------------------------------
 
@@ -289,7 +314,8 @@ def concat_channels(tensors: Sequence[PillarTensor]) -> PillarTensor:
     for t in tensors:
         out[union.searchsorted(t.keys), offset : offset + t.channels] = t.features
         offset += t.channels
-    return PillarTensor(h, w, total_c, coords_of_keys(union, w), out)
+    return _proven(PillarTensor, height=h, width=w, channels=total_c,
+                   rc=_freeze(coords_of_keys(union, w)), features=_freeze(out))
 
 
 # -- PLT v1 text I/O --------------------------------------------------------

@@ -397,6 +397,10 @@ class TestErrorsAndUsage:
         ["--pattern", "clustered", "--clusters", "0"],
         ["--pattern", "clustered", "--clusters", "-3"],
         ["--pattern", "ring-arcs", "--arcs", str(2**32)],
+        # constant features must be finite float32 values
+        ["--features", "constant", "--constant-value", "nan"],
+        ["--features", "constant", "--constant-value", "inf"],
+        ["--features", "constant", "--constant-value", "1e39"],
     ])
     def test_bad_gen_spec_reports_error(self, tmp_path, capsys, args):
         base = {"--height": "24", "--width": "24", "--density": "0.15"}

@@ -7,6 +7,7 @@ tuple order shows up as a mismatch.
 """
 
 import itertools
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,16 @@ from pillarconv.accel import (
     simulate_network,
 )
 from pillarconv import conv
-from pillarconv.backbone import ConvMode, make_pointpillars, run_network, with_body_mode
+from pillarconv import tensor
+from pillarconv.backbone import (
+    ConvMode,
+    LayerSpec,
+    PlannedLayer,
+    _run_layer,
+    make_pointpillars,
+    run_network,
+    with_body_mode,
+)
 from pillarconv.conv import (
     Kernel,
     Rulebook,
@@ -35,6 +45,7 @@ from pillarconv.conv import (
 )
 from pillarconv.errors import (
     BadKernelShapeError,
+    DuplicateCoordError,
     OutOfBoundsError,
     ShapeMismatchError,
     StrideUnsupportedError,
@@ -42,7 +53,7 @@ from pillarconv.errors import (
 )
 from pillarconv.importance import Selection
 from pillarconv.scenes import SceneSpec, generate
-from pillarconv.tensor import FEATURE_DTYPE, PillarTensor, load_plt, save_plt
+from pillarconv.tensor import FEATURE_DTYPE, PillarTensor, concat_channels, load_plt, save_plt
 from test_conv import order_revealing_kernel, order_revealing_rows
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -291,6 +302,29 @@ class TestJoinPreconditions:
         for grid in ((0, 0), (-1, 5), (5, 0)):
             with pytest.raises(ShapeMismatchError, match="must be positive"):
                 self.build(name, [], grid=grid)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_builder_rejects_a_non_integer_grid(self, name):
+        # the join's book is trusted without `Rulebook`'s checks, so the door checks the type
+        for grid in ((6.0, 6), (6, 6.5), (True, True)):
+            with pytest.raises(ShapeMismatchError, match="must be integers"):
+                self.build(name, [(0, 0)], grid=grid)
+
+    @pytest.mark.parametrize("out_rc, dims, error", [
+        ([(0, 1), (0, 0)], (2, 2), ShapeMismatchError),  # unsorted
+        ([(0, 0), (0, 0)], (2, 2), DuplicateCoordError),
+        ([(0, 0), (2, 0)], (2, 2), OutOfBoundsError),
+        ([(0, 0), (0, 2)], (2, 2), OutOfBoundsError),
+        ([(0, 0), (0, 1)], (0, 2), ShapeMismatchError),
+        ([(0, 0), (0, 1)], (2, -1), ShapeMismatchError),
+        ([(0, 0), (0, 1)], (2.0, 2), ShapeMismatchError),
+        ([(0, 0), (0, 1)], (2, True), ShapeMismatchError),
+        ([(0, 0), (0, 1)], (2**32, 2**32), ShapeMismatchError),  # beyond the key space
+    ])
+    def test_rulebook_rejects_a_bad_output_set(self, out_rc, dims, error):
+        # `execute_rulebook` trusts a book's output set, so the book is checked when built
+        with pytest.raises(error):
+            Rulebook([0, 0], [0, 1], [0, 1], out_rc, *dims)
 
     def test_flags_of_the_wrong_shape_are_rejected(self):
         # a bool array is always flags, never coords, whatever its shape
@@ -580,3 +614,90 @@ def test_load_run_simulate_builds_no_coordinate_tuples(tmp_path, monkeypatch, mo
     res = run_network(load_plt(str(path)), spec)
     net = simulate_network(res.traces)
     assert res.output.n_active > 0 and net.total > 0
+
+
+# -- each invariant checked once ------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [None, ConvMode.SPARSE_FULL, ConvMode.SUBMANIFOLD,
+                                  ConvMode.DENSE])
+def test_run_network_rechecks_no_value_it_built(monkeypatch, mode):
+    """Every layer reads values the code built from checked ones, so nothing re-checks them."""
+    t = generate(SceneSpec(height=32, width=24, channels=8, density=0.15,
+                           pattern="clustered", clusters=4, spread=2.0, seed=3))
+    spec = make_pointpillars(height=32, width=24, channels=8, t=10.0)
+    if mode is not None:
+        spec = with_body_mode(spec, mode)
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(tensor, "validate_coords",
+                        counted("validate_coords", tensor.validate_coords))
+    monkeypatch.setattr(Rulebook, "__post_init__", counted("Rulebook", Rulebook.__post_init__))
+    res = run_network(t, spec)
+    assert res.output.n_active > 0
+    assert calls == Counter()
+    # the counters are live: the public constructors still check
+    PillarTensor(2, 2, 1, [(0, 0)], np.ones((1, 1)))
+    Rulebook([0], [0], [0], [(0, 0)], 1, 1)
+    assert calls == Counter(validate_coords=1, Rulebook=1)
+
+
+def assert_passes_public_checks(u):
+    """A tensor built without the re-check is one the public constructor accepts, bit for bit."""
+    tensor.validate_coords(u.height, u.width, u.rc)
+    assert u.rc.dtype == np.int64 and u.features.dtype == FEATURE_DTYPE
+    assert not u.rc.flags.writeable and not u.features.flags.writeable
+    v = PillarTensor(u.height, u.width, u.channels, u.rc, u.features)
+    assert (v.height, v.width, v.channels) == (u.height, u.width, u.channels)
+    assert v.rc.shape == u.rc.shape and v.features.shape == u.features.shape
+    assert v.rc.tobytes() == u.rc.tobytes() and v.features.tobytes() == u.features.tobytes()
+
+
+class TestProvenValues:
+    """What the join, the executor and the tensor derivations build passes the public checks."""
+
+    @SETTINGS
+    @given(grids(max_side=7), odd_kernels, st.integers(0, 2), st.data())
+    def test_books_rebuild_through_the_public_constructor(self, grid, kshape, clip, data):
+        h, w, active = grid
+        k, k2 = kernel(*kshape), kernel(2, 2, stride=2)
+        selected = data.draw(st.lists(st.sampled_from(active), unique=True) if active
+                             else st.just([]))
+        books = [
+            build_rulebook_subm(active, k, bounds=(h, w)),
+            build_rulebook_sparse(active, k, (h, w)),
+            build_rulebook_selective(active, selected, k, (h, w)),
+            build_rulebook_downsample2x2(active, k2, (h, w)),
+            build_rulebook_deconv2x2(active, k2, (2 * h - clip // 2, 2 * w - clip % 2)),
+        ]
+        for rb in books:
+            for a in (rb.in_idx, rb.w_idx, rb.out_idx, rb.output_rc):
+                assert a.dtype == np.int64 and not a.flags.writeable
+            assert all(a.flags.c_contiguous for a in (rb.in_idx, rb.w_idx, rb.out_idx))
+            again = Rulebook(rb.in_idx, rb.w_idx, rb.out_idx, rb.output_rc,
+                             rb.out_height, rb.out_width)
+            assert again.same_tuples(rb)
+            assert (again.out_height, again.out_width) == (rb.out_height, rb.out_width)
+
+    @SETTINGS
+    @given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 8]),
+           st.floats(0.0, 1.0), st.sampled_from(["uniform", "clustered", "ring-arcs"]),
+           st.integers(0, 2**16))
+    def test_tensors_pass_the_public_checks(self, h, w, c, density, pattern, seed):
+        t = generate(SceneSpec(height=h, width=w, channels=c, density=density,
+                               pattern=pattern, seed=seed))
+        k = kernel(3, 3, c_in=c, c_out=c, seed=seed)
+        out = execute_rulebook(build_rulebook_sparse(t.rc, k, (h, w)), t, k)
+        up = kernel(2, 2, stride=2, c_in=c, c_out=c, seed=seed)
+        up_out = execute_rulebook(build_rulebook_deconv2x2(t.rc, up, (2 * h, 2 * w)), t, up)
+        relu = out.with_features(np.maximum(out.features, 0))
+        layer = PlannedLayer("d", "body", LayerSpec(ConvMode.DENSE, c, c), h, w, h, w, 1)
+        gathered, _ = _run_layer(t, layer, k)
+        for u in (t, out, up_out, relu, gathered, concat_channels([t, out, relu, gathered])):
+            assert_passes_public_checks(u)

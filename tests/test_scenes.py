@@ -220,6 +220,13 @@ class TestSpecLimits:
         dict(seed=-1), dict(seed=2**128),
         dict(clusters=0), dict(clusters=-1), dict(clusters=2**32),
         dict(arcs=0), dict(arcs=2**32),
+        # every field has its type: integer sizes, counts and seed, real values
+        dict(height=8.0), dict(width=True), dict(channels=2.0), dict(clusters=1.5),
+        dict(arcs="6"), dict(seed=1.5), dict(seed=None), dict(density="0.5"),
+        dict(spread=True), dict(constant_value=None),
+        # a constant feature must be a finite float32
+        dict(constant_value=float("nan")), dict(constant_value=float("inf")),
+        dict(constant_value=1e39), dict(constant_value=-1e39),
     ])
     def test_rejected_before_any_draw(self, fields):
         base = dict(height=8, width=8, channels=2, density=0.5, pattern="clustered")

@@ -102,6 +102,12 @@ class TestConstruction:
         assert u.coords == t.coords
         assert np.all(u.features == 1.0)
 
+    def test_with_features_rejects_the_wrong_shape(self):
+        t = make_tensor([(0, 1), (2, 3)], c=2)
+        for shape in ((2, 3), (1, 2), (4,), (2, 2, 1)):
+            with pytest.raises(BadVectorLengthError, match="does not match 2 entries x 2"):
+                t.with_features(np.ones(shape))
+
 
 class TestDenseRoundTrip:
     def test_to_dense_places_values(self):

@@ -37,7 +37,7 @@ import numpy as np
 from .conv import Kernel, Rulebook, _check_join_input
 from .errors import BadKernelShapeError, ShapeMismatchError, SpecMismatchError
 from .tensor import Coord, as_coords_array, sorted_unique
-from .util import ceil_div, require_fields
+from .util import _require_size, ceil_div
 
 BYTES_PER_VALUE = 4
 SPILL_LINE_VALUES = 64
@@ -54,13 +54,9 @@ class AcceleratorConfig:
     lat_expand: int = 1
 
     def __post_init__(self) -> None:
-        require_fields(self, [f.name for f in fields(self)], SpecMismatchError)
-        for name in ("array_rows", "array_cols", "lat_align", "lat_merge", "lat_dilate",
-                     "lat_expand"):
-            if getattr(self, name) < 1:
-                raise SpecMismatchError(f"{name} {getattr(self, name)} must be >= 1")
-        if self.sram_kbytes < 0:
-            raise SpecMismatchError(f"sram_kbytes {self.sram_kbytes} must be >= 0")
+        for f in fields(self):  # no SRAM is a size; every other field is at least 1
+            _require_size(f.name, getattr(self, f.name), SpecMismatchError,
+                          0 if f.name == "sram_kbytes" else 1)
 
     @property
     def sram_values(self) -> int:
@@ -103,8 +99,7 @@ def generate_rules_pipelined(
         raise BadKernelShapeError("pipelined rule generation needs a 3x3 stride-1 kernel")
     cfg = cfg or AcceleratorConfig()
     pts = as_coords_array(coords)
-    grid = (height, width)
-    fl = _check_join_input(pts, k, "stride1", grid, grid, np.asarray(flags, dtype=bool))
+    fl = _check_join_input(pts, k, "stride1", (height, width), np.asarray(flags, dtype=bool))
     rows = pts[:, 0]
     cols = pts[:, 1]
     row_values = np.unique(rows)

@@ -29,7 +29,6 @@ and seed and kept, read-only, in an LRU cache of `KERNEL_CACHE_SIZE` entries.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -61,8 +60,8 @@ from .importance import (
     select_topk,
     selection_flags,
 )
-from .tensor import PillarTensor, _freeze, _proven, concat_channels, from_dense
-from .util import require_fields
+from .tensor import PillarTensor, _freeze, _proven, _require_grid, concat_channels, from_dense
+from .util import _require_size, require_fields
 
 _T = TypeVar("_T")
 
@@ -93,7 +92,7 @@ class SelectionSpec:
         else:
             raise SpecMismatchError(f"unknown selection kind {self.kind!r}")
         given = [name for name in ("t", "theta") if getattr(self, name) is not None]
-        require_fields(self, given, SpecMismatchError, numbers.Real, "a number")
+        require_fields(self, given, SpecMismatchError)
 
     def select(self, scores) -> Selection:
         if self.kind == "topk":
@@ -113,7 +112,8 @@ class LayerSpec:
     selection: SelectionSpec | None = None
 
     def __post_init__(self) -> None:
-        require_fields(self, ("c_in", "c_out", "k_h", "k_w", "stride"), SpecMismatchError)
+        for name in ("c_in", "c_out", "k_h", "k_w", "stride"):
+            _require_size(name, getattr(self, name), SpecMismatchError)
         if self.activation not in ("relu", "none"):
             raise SpecMismatchError(f"unknown activation {self.activation!r}")
         if self.mode is ConvMode.SELECTIVE and self.selection is None:
@@ -138,7 +138,8 @@ class NetworkSpec:
     neck: tuple[tuple[LayerSpec, ...], ...]  # one deconv chain per stage
 
     def __post_init__(self) -> None:
-        require_fields(self, ("height", "width", "channels"), SpecMismatchError)
+        _require_grid(self.height, self.width, SpecMismatchError)
+        _require_size("channels", self.channels, SpecMismatchError)
 
 
 @dataclass(frozen=True)

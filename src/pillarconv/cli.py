@@ -129,6 +129,15 @@ def _report_rows(records) -> list[dict]:
     ]
 
 
+def _write_csv(path: str, comments: list[str], rows: list[dict]) -> None:
+    """Write each comment as a `# ` line, then `rows` under a header of their keys."""
+    with open(path, "w", newline="") as f:
+        f.writelines(f"# {c}\n" for c in comments)
+        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _write_report(path: str, reports, spec: NetworkSpec) -> None:
     rows = _report_rows(reports)
     ftotal = total_flops(reports)
@@ -144,12 +153,8 @@ def _write_report(path: str, reports, spec: NetworkSpec) -> None:
         }
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        with open(path, "w", newline="") as f:
-            f.write(f"# {FLOPS_NOTE}\n")
-            f.write(f"# network={spec.name} total_flops={ftotal} dense_flops={dense}\n")
-            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        totals = f"network={spec.name} total_flops={ftotal} dense_flops={dense}"
+        _write_csv(path, [FLOPS_NOTE, totals], rows)
 
 
 # -- gen ------------------------------------------------------------------------
@@ -304,11 +309,7 @@ def cmd_sweep(args) -> int:
         rows.append({"t": tv, "total_flops": ftotal,
                      "flops_vs_dense": fmt_float(ftotal / dense), "active_out": act})
     if args.report:
-        with open(args.report, "w", newline="") as f:
-            f.write(f"# {FLOPS_NOTE}\n")
-            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(args.report, [FLOPS_NOTE], rows)
         print(f"wrote {args.report}")
     if args.manifest:
         _write_manifest(args.manifest, args._argv, args.weights_seed, [args.scene],

@@ -15,25 +15,27 @@ builders here differ only in which output set they commit to:
 
 All five builders are one call each to the vectorised kernel-map join
 `_kernel_map` on (n, 2) int64 coordinates and linearised keys, naming its
-form and grids. Weight index w enumerates a kernel's offsets (dr, dc) in
-row-major order, and input (r, c) reaches under offset w, in each form:
+form and its one grid. Weight index w enumerates a kernel's offsets (dr, dc)
+in row-major order, and input (r, c) reaches under offset w, in each form:
 
 * "stride1" (submanifold, full sparse, selective; odd kernels, offsets
-  centered, same padding: input grid = output grid): (r + dr, c + dc);
-* "down" (2x2 stride 2, h x w input grid, ceil(h/2) x ceil(w/2) output
-  grid): (r // 2, c // 2), under the offset (r % 2, c % 2) alone;
-* "up" (transposed 2x2 stride 2; only the output grid is known):
-  (2r + dr, 2c + dc).
+  centered, same padding: the grid is the input and the output grid):
+  (r + dr, c + dc);
+* "down" (2x2 stride 2, the grid is the h x w input grid, the output grid
+  ceil(h/2) x ceil(w/2)): (r // 2, c // 2), under the offset (r % 2, c % 2)
+  alone;
+* "up" (transposed 2x2 stride 2; the grid is the output grid, the input
+  grid is not known): (2r + dr, 2c + dc).
 
 Targets off the output grid are dropped. One door, `_check_join_input`,
 checks what the join assumes, for every builder and for
-`accel.generate_rules_pipelined`: the kernel fits the form, each known grid
-has positive integer sides and fits the int64 key space, the coords are
-strictly row-major on the input grid (non-negative for "up"), and it
-returns what to dilate as one bool flag per input, the join's one selection
-form (converting selected coords once). Builders take (n, 2) arrays or
-sequences of (row, col) pairs; `Rulebook.output_coords` is a tuple view of
-`output_rc`.
+`accel.generate_rules_pipelined`: the kernel fits the form, the grid passes
+`tensor`'s grid rule (integer sides >= 1, cells inside the int64 key space),
+the coords are strictly row-major on the input grid (non-negative for
+"up"), and it returns what to dilate as one bool flag per input, the join's
+one selection form (converting selected coords once). Builders take (n, 2)
+arrays or sequences of (row, col) pairs; `Rulebook.output_coords` is a tuple
+view of `output_rc`.
 
 Tuples are stored offset-major: sorted by (weight_index, output_index), the
 order execution runs them in, one GEMM per offset. The join emits them in
@@ -44,9 +46,9 @@ accumulate in float64 and round to float32 once at the end.
 Each invariant is checked once. The door checks the join's input, and the
 join builds its book from those checked values with `tensor._proven`,
 skipping `Rulebook`'s checks. A book built by hand goes through them: the
-public `Rulebook` rejects any other tuple order, indices out of range, and
-an output set that is not sorted, unique and on a positive output grid
-inside the key space. So `execute_rulebook` trusts every book's output set
+public `Rulebook` rejects any other tuple order, indices out of range, an
+output grid that breaks the grid rule and an output set that is not sorted,
+unique and on it. So `execute_rulebook` trusts every book's output set
 and builds its result on it without a re-check.
 
 Cache-sized accumulation. Both executors keep their float64 accumulator in
@@ -132,8 +134,9 @@ from .tensor import (
     DenseGrid,
     PillarTensor,
     _freeze,
+    _on_grid,
     _proven,
-    _require_key_space,
+    _require_grid,
     as_coords_array,
     as_tuples,
     coords_of_keys,
@@ -141,15 +144,24 @@ from .tensor import (
     sorted_unique,
     validate_coords,
 )
-from .util import require_fields
+from .util import _require_size
 
 
 # -- kernels -----------------------------------------------------------------
 
 
-def _require_channels(c_in: int, c_out: int) -> None:
-    if c_in < 1 or c_out < 1:
-        raise ShapeMismatchError(f"kernel channels must be >= 1, got {c_in} in, {c_out} out")
+def _check_shape(k_h: int, k_w: int, c_in: int, c_out: int, stride: int) -> None:
+    """Raise unless every size passes the size rule and the kernel has a supported form."""
+    for n, v in zip(("k_h", "k_w", "c_in", "c_out", "stride"), (k_h, k_w, c_in, c_out, stride)):
+        _require_size(n, v, ShapeMismatchError)
+    if stride == 1:
+        if k_h % 2 == 0 or k_w % 2 == 0:
+            raise BadKernelShapeError(f"stride-1 kernels must be odd, got {k_h}x{k_w}")
+    elif stride == 2:
+        if (k_h, k_w) != (2, 2):
+            raise BadKernelShapeError(f"stride-2 kernels must be 2x2, got {k_h}x{k_w}")
+    else:
+        raise StrideUnsupportedError(f"stride {stride} not supported")
 
 
 @dataclass(frozen=True)
@@ -168,19 +180,7 @@ class Kernel:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        _require_channels(self.c_in, self.c_out)
-        if self.stride == 1:
-            if self.k_h < 1 or self.k_w < 1 or self.k_h % 2 == 0 or self.k_w % 2 == 0:
-                raise BadKernelShapeError(
-                    f"stride-1 kernels must be odd, got {self.k_h}x{self.k_w}"
-                )
-        elif self.stride == 2:
-            if (self.k_h, self.k_w) != (2, 2):
-                raise BadKernelShapeError(
-                    f"stride-2 kernels must be 2x2, got {self.k_h}x{self.k_w}"
-                )
-        else:
-            raise StrideUnsupportedError(f"stride {self.stride} not supported")
+        _check_shape(self.k_h, self.k_w, self.c_in, self.c_out, self.stride)
         w = np.ascontiguousarray(self.weights, dtype=FEATURE_DTYPE)
         b = np.ascontiguousarray(self.bias, dtype=FEATURE_DTYPE)
         if w.shape != (self.k_h * self.k_w, self.c_in, self.c_out):
@@ -232,9 +232,9 @@ class Kernel:
         """Deterministic pseudorandom kernel (Philox counter-based stream).
 
         Weights are normal with std 1/sqrt(taps * c_in); bias is normal *
-        bias_scale (zero bias by default).
+        bias_scale (zero bias by default). The shape is checked before any draw.
         """
-        _require_channels(c_in, c_out)
+        _check_shape(k_h, k_w, c_in, c_out, stride)
         rng = np.random.Generator(np.random.Philox(key=seed))
         w = rng.standard_normal((k_h * k_w, c_in, c_out)) * (1.0 / np.sqrt(k_h * k_w * c_in))
         b = rng.standard_normal(c_out) * bias_scale
@@ -279,13 +279,11 @@ class Rulebook:
         w, o = self.w_idx, self.out_idx
         if ((w[1:] < w[:-1]) | ((w[1:] == w[:-1]) & (o[1:] <= o[:-1]))).any():
             raise UnsortedInputError("rulebook tuples must ascend strictly in (weight, output)")
-        rc = _freeze(as_coords_array(self.output_rc).view())
+        rc = _freeze(as_coords_array(self.output_rc).copy())
         if n and (self.in_idx.min() < 0 or w[0] < 0 or o.min() < 0 or o.max() >= rc.shape[0]):
             raise ShapeMismatchError("rulebook indices must be non-negative, outputs in range")
-        require_fields(self, ("out_height", "out_width"), ShapeMismatchError)
-        if self.out_height <= 0 or self.out_width <= 0:
-            raise ShapeMismatchError("out_height and out_width must be positive")
-        _require_key_space(self.out_height, self.out_width)
+        _require_grid(self.out_height, self.out_width, ShapeMismatchError,
+                      ("out_height", "out_width"))
         validate_coords(self.out_height, self.out_width, rc)
         object.__setattr__(self, "output_rc", rc)
 
@@ -315,8 +313,7 @@ class Rulebook:
 
 
 def _check_join_input(
-    rc: np.ndarray, k: Kernel, form: str, in_grid: tuple[int, int] | None,
-    out_grid: tuple[int, int], dilate=None,
+    rc: np.ndarray, k: Kernel, form: str, grid: tuple[int, int], dilate=None,
 ) -> np.ndarray | None:
     """Check the join's preconditions (see the module docstring) in O(n); return the flags."""
     if form == "stride1":
@@ -325,33 +322,24 @@ def _check_join_input(
     elif (k.k_h, k.k_w, k.stride) != (2, 2, 2):
         raise BadKernelShapeError(f"{form} rulebooks need a 2x2 stride-2 kernel, got "
                                   f"{k.k_h}x{k.k_w} stride {k.stride}")
-    for grid in (in_grid, out_grid):
-        if grid is not None:
-            for v in grid:  # numpy integers pass, a bool does not
-                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                    raise ShapeMismatchError(f"height and width must be integers, got {grid}")
-            if min(grid) < 1:
-                raise ShapeMismatchError(f"height and width must be positive, got {grid}")
-            _require_key_space(*grid)
+    _require_grid(*grid, ShapeMismatchError)
     r, c = rc[:, 0], rc[:, 1]
     if ((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))).any():
         raise UnsortedInputError("rulebook builders need strictly row-major sorted coords")
-    if in_grid is None:
+    if form == "up":
         if (rc < 0).any():
             raise OutOfBoundsError("active coords must be non-negative")
-    # a negative value wraps to a huge unsigned one
-    elif ((r.view(np.uint64) >= in_grid[0]) | (c.view(np.uint64) >= in_grid[1])).any():
-        raise OutOfBoundsError(f"active coords must lie on the {in_grid[0]}x{in_grid[1]} input grid")
+    elif not _on_grid(r, c, *grid).all():
+        raise OutOfBoundsError(f"active coords must lie on the {grid[0]}x{grid[1]} input grid")
     if isinstance(dilate, np.ndarray) and dilate.dtype == bool:
         if dilate.shape != (rc.shape[0],):
             raise ShapeMismatchError(f"flags shape {dilate.shape} for {rc.shape[0]} entries")
         return dilate
-    return None if dilate is None else selection_mask(rc, dilate, *out_grid)
+    return None if dilate is None else selection_mask(rc, dilate, *grid)
 
 
 def _kernel_map(
-    rc: np.ndarray, k: Kernel, form: str, in_grid: tuple[int, int] | None,
-    out_grid: tuple[int, int], dilate=None,
+    rc: np.ndarray, k: Kernel, form: str, grid: tuple[int, int], dilate=None,
 ) -> Rulebook:
     """The join every builder runs: input coords x kernel offsets -> output set.
 
@@ -368,8 +356,8 @@ def _kernel_map(
     (taps, n) hits row by row yields the tuples already sorted by (offset,
     output).
     """
-    dilate = _check_join_input(rc, k, form, in_grid, out_grid, dilate)
-    out_h, out_w = out_grid
+    dilate = _check_join_input(rc, k, form, grid, dilate)
+    out_h, out_w = ((grid[0] + 1) // 2, (grid[1] + 1) // 2) if form == "down" else grid
     r, c = rc[:, 0], rc[:, 1]
     dr, dc = k.offset_array[:, :, None]
     if form == "stride1":
@@ -379,8 +367,7 @@ def _kernel_map(
     else:
         sr, sc = r - dr, c - dc
         tr, tc = sr >> 1, sc >> 1
-    # negative values wrap to huge unsigned ones, so one compare checks both ends
-    ok = (tr.view(np.uint64) < out_h) & (tc.view(np.uint64) < out_w)
+    ok = _on_grid(tr, tc, out_h, out_w)
     if form == "down":
         ok &= ((sr | sc) & 1) == 0
     w, i = ok.nonzero()
@@ -410,7 +397,7 @@ def build_rulebook_subm(active: Sequence[Coord], k: Kernel, bounds: tuple[int, i
     coord(o) - coord(i) = offset(w). Bounds never affect the tuple set; they
     record the output grid dims, and every active coord must lie inside them.
     """
-    return _kernel_map(as_coords_array(active), k, "stride1", bounds, bounds, ())
+    return _kernel_map(as_coords_array(active), k, "stride1", bounds, ())
 
 
 def build_rulebook_sparse(
@@ -422,7 +409,7 @@ def build_rulebook_sparse(
     the active coords must lie on `out_bounds`, and targets landing outside
     it are dropped. The strided form is `build_rulebook_downsample2x2`.
     """
-    return _kernel_map(as_coords_array(active), k, "stride1", out_bounds, out_bounds)
+    return _kernel_map(as_coords_array(active), k, "stride1", out_bounds)
 
 
 def build_rulebook_downsample2x2(
@@ -434,8 +421,7 @@ def build_rulebook_downsample2x2(
     h x w input grid, contributes one tuple at (r // 2, c // 2) with weight
     offset (r % 2, c % 2).
     """
-    h, w = in_bounds
-    return _kernel_map(as_coords_array(active), k, "down", in_bounds, ((h + 1) // 2, (w + 1) // 2))
+    return _kernel_map(as_coords_array(active), k, "down", in_bounds)
 
 
 def build_rulebook_deconv2x2(
@@ -446,7 +432,7 @@ def build_rulebook_deconv2x2(
     Input (r, c), which must be non-negative, produces outputs
     (2r + dr, 2c + dc) for each weight offset, clipped to `out_bounds`.
     """
-    return _kernel_map(as_coords_array(active), k, "up", None, out_bounds)
+    return _kernel_map(as_coords_array(active), k, "up", out_bounds)
 
 
 def build_rulebook_selective(
@@ -463,7 +449,7 @@ def build_rulebook_selective(
     outputs created by a neighbor's dilation still receive contributions
     from non-selected inputs.
     """
-    return _kernel_map(as_coords_array(active), k, "stride1", out_bounds, out_bounds, selected)
+    return _kernel_map(as_coords_array(active), k, "stride1", out_bounds, selected)
 
 
 # -- execution ---------------------------------------------------------------
@@ -652,6 +638,7 @@ def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | N
     if (k.k_h, k.k_w, k.stride) != (2, 2, 2):
         raise BadKernelShapeError("deconv oracle needs a 2x2 stride-2 kernel")
     out_h, out_w = out_bounds or (2 * g.height, 2 * g.width)
+    _require_grid(out_h, out_w, ShapeMismatchError)
     weights = k.weights.astype(np.float64)
     bias0 = k.bias.astype(np.float64) + 0.0
     out = np.empty((out_h, out_w, k.c_out), dtype=FEATURE_DTYPE)

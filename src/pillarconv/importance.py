@@ -57,13 +57,13 @@ class Selection:
 
     `rc` takes any collection of unique (row, col) pairs, kept in the order
     given (the selectors keep their scores' entry order) as a read-only
-    (m, 2) int64 view; `selected` is its frozenset view, built on first use.
+    (m, 2) int64 copy; `selected` is its frozenset view, built on first use.
     """
 
     rc: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rc", _freeze(as_coords_array(self.rc).view()))
+        object.__setattr__(self, "rc", _freeze(as_coords_array(self.rc).copy()))
 
     @cached_property
     def selected(self) -> frozenset[Coord]:

@@ -66,14 +66,13 @@ draw for draw.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DensityOverflowError, SpecMismatchError
-from .tensor import _MAX_CELLS, FEATURE_DTYPE, PillarTensor, _freeze, _proven, coords_of_keys
-from .util import require_fields
+from .tensor import FEATURE_DTYPE, PillarTensor, _freeze, _proven, _require_grid, coords_of_keys
+from .util import _require_size, require_fields
 from .ziggurat import FI, KI, WI
 
 PATTERNS = ("uniform", "clustered", "ring-arcs")
@@ -110,16 +109,11 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_fields(self, ("height", "width", "channels", "clusters", "arcs", "seed"),
-                       SpecMismatchError)
-        require_fields(self, ("density", "spread", "constant_value"), SpecMismatchError,
-                       numbers.Real, "a real number")
-        if self.height <= 0 or self.width <= 0:
-            raise SpecMismatchError(f"grid {self.height}x{self.width} must have positive dims")
-        if self.height * self.width > _MAX_CELLS:
-            raise SpecMismatchError(f"grid {self.height}x{self.width} exceeds the int64 key space")
-        if self.channels < 1:
-            raise SpecMismatchError(f"channels {self.channels} must be >= 1")
+        _require_grid(self.height, self.width, SpecMismatchError)
+        for name in ("channels", "clusters", "arcs"):
+            _require_size(name, getattr(self, name), SpecMismatchError)
+        _require_size("seed", self.seed, SpecMismatchError, 0)
+        require_fields(self, ("density", "spread", "constant_value"), SpecMismatchError)
         if not (math.isfinite(self.density) and self.density >= 0):
             raise SpecMismatchError(f"density {self.density} must be finite and >= 0")
         if self.density > 1:
@@ -128,8 +122,8 @@ class SceneSpec:
             raise SpecMismatchError(f"spread {self.spread} must be finite and >= 0")
         # one uint32 Lemire draw picks a cluster or an arc
         for name in ("clusters", "arcs"):
-            if not 1 <= getattr(self, name) < 2**32:
-                raise SpecMismatchError(f"{name} {getattr(self, name)} must be in [1, 2**32)")
+            if getattr(self, name) >= 2**32:
+                raise SpecMismatchError(f"{name} {getattr(self, name)} must be < 2**32")
         if self.pattern not in PATTERNS:
             raise SpecMismatchError(f"unknown pattern {self.pattern!r}, expected {PATTERNS}")
         if self.features not in FEATURE_KINDS:

@@ -20,6 +20,11 @@ sorted unique coordinates. `PillarTensor.coords` is a read-only
 tuple-of-tuples view of the array, built on first use for callers that
 want Python coordinates; the convolution path never builds it.
 
+Each size, grid and on-grid test in the package calls one rule, with its
+owner's error type: the size rule (`util._require_size`: an integer, numpy
+ones too but not a bool, at least a minimum), the grid rule (`_require_grid`:
+two sizes >= 1 whose cells fit the int64 keys) and `_on_grid`.
+
 Text form (PLT v1)::
 
     PLT v1 <height> <width> <channels> <n>
@@ -47,7 +52,7 @@ from .errors import (
     SelectionNotSubsetError,
     ShapeMismatchError,
 )
-from .util import FLOAT_FORMAT, require_fields
+from .util import FLOAT_FORMAT, _require_size
 
 Coord = tuple[int, int]
 
@@ -57,9 +62,18 @@ FEATURE_DTYPE = np.float32
 _MAX_CELLS = np.iinfo(np.int64).max
 
 
-def _require_key_space(height: int, width: int) -> None:
+def _require_grid(height: int, width: int, error: type, names=("height", "width")) -> None:
+    """The grid rule: both sides are sizes (`util._require_size`) and the cells fit the keys."""
+    _require_size(names[0], height, error)
+    _require_size(names[1], width, error)
     if int(height) * int(width) > _MAX_CELLS:
-        raise ShapeMismatchError(f"{height}x{width} grid exceeds the int64 key space")
+        raise error(f"{height}x{width} grid exceeds the int64 key space")
+
+
+def _on_grid(r: np.ndarray, c: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The on-grid test for int64 arrays r and c: a negative value wraps to a huge unsigned
+    one, so one compare per axis checks both ends."""
+    return (r.view(np.uint64) < height) & (c.view(np.uint64) < width)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -123,7 +137,7 @@ def selection_mask(rc: np.ndarray, selected, height: int, width: int) -> np.ndar
     sel = as_coords_array(selected)
     if sel.size == 0:
         return np.zeros(rc.shape[0], dtype=bool)
-    on_grid = (sel[:, 0].view(np.uint64) < height) & (sel[:, 1].view(np.uint64) < width)
+    on_grid = _on_grid(sel[:, 0], sel[:, 1], height, width)
     want = sorted_unique(sel[:, 0] * width + sel[:, 1])
     keys = rc[:, 0] * width + rc[:, 1]
     flags = want.take(want.searchsorted(keys), mode="clip") == keys
@@ -163,7 +177,7 @@ class PillarTensor:
     """Sparse pillar map: sorted unique (n, 2) coords plus an (n, channels) feature array.
 
     `rc` accepts any (row, col) collection and is stored as a read-only
-    int64 array.
+    int64 copy.
     """
 
     height: int
@@ -173,11 +187,9 @@ class PillarTensor:
     features: np.ndarray
 
     def __post_init__(self) -> None:
-        require_fields(self, ("height", "width", "channels"), ShapeMismatchError)
-        if self.height <= 0 or self.width <= 0 or self.channels <= 0:
-            raise ShapeMismatchError("height, width and channels must be positive")
-        _require_key_space(self.height, self.width)
-        rc = _freeze(as_coords_array(self.rc).view())
+        _require_grid(self.height, self.width, ShapeMismatchError)
+        _require_size("channels", self.channels, ShapeMismatchError)
+        rc = _freeze(as_coords_array(self.rc).copy())
         feats = np.ascontiguousarray(self.features, dtype=FEATURE_DTYPE)
         if feats.shape != (rc.shape[0], self.channels):
             raise BadVectorLengthError(
@@ -234,15 +246,14 @@ def _first_fault(rc: np.ndarray, height: int, width: int) -> tuple[int, str] | N
     bounds, so comparing keys there compares coordinates.
     """
     rows, cols = rc[:, 0], rc[:, 1]
-    # negative values wrap to huge unsigned ones, so one compare checks both ends
-    outside = (rows.view(np.uint64) >= height) | (cols.view(np.uint64) >= width)
+    on = _on_grid(rows, cols, height, width)
     steps = np.diff(rows * width + cols)
-    bad = outside.copy()
+    bad = ~on
     bad[1:] |= steps <= 0
     if not bad.any():
         return None
     i = int(bad.argmax())
-    return i, "outside" if outside[i] else "duplicate" if steps[i - 1] == 0 else "unsorted"
+    return i, "outside" if not on[i] else "duplicate" if steps[i - 1] == 0 else "unsorted"
 
 
 def validate_coords(height: int, width: int, coords) -> None:
@@ -380,11 +391,10 @@ def read_plt(f: TextIO) -> PillarTensor:
         raise FormatError(f"bad PLT header numbers: {header!r}") from e
     if c < 0 or n < 0:
         raise FormatError(f"bad PLT header: negative count in {header!r}")
+    _require_grid(h, w, FormatError)
     # numpy sizes, clips and compares with these; beyond int64 it raises raw errors
-    if max(abs(h), abs(w), c, n) > np.iinfo(np.int64).max:
+    if max(c, n) > np.iinfo(np.int64).max:
         raise FormatError(f"bad PLT header: count beyond the int64 range in {header!r}")
-    if h * w > _MAX_CELLS:
-        raise FormatError(f"bad PLT header: {h}x{w} grid exceeds the int64 key space")
     lines = f.read().split("\n")
     n_lines = len(lines) - (lines[-1] == "")  # a final newline ends the last line
     body, rest = lines[: min(n, n_lines)], lines[n:]

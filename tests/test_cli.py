@@ -503,12 +503,14 @@ class TestErrorsAndUsage:
         (lambda doc: doc["stages"][0]["downsample"].update(c_in=8.0), "c_in"),
         (lambda doc: doc["stages"][1]["downsample"].update(c_out="128"), "c_out"),
         (lambda doc: doc["stages"][0]["body"][0].update(kernel=[3.0, 3.0]), "k_h"),
+        (lambda doc: doc["stages"][0]["body"][0].update(kernel=[-1, 3]), "k_h must be >= 1"),
+        (lambda doc: doc["stages"][0]["body"][0].update(kernel=[0, 0]), "k_h must be >= 1"),
         (lambda doc: doc["stages"][0]["body"][0].update(kernel=[3]), "kernel"),
         (lambda doc: doc["stages"][0]["body"][0].update(stride=True), "stride"),
         (lambda doc: doc["input"].update(height=24.0), "height"),
         (lambda doc: [1], "object"),
-    ], ids=["c_in-float", "c_out-string", "kernel-floats", "kernel-one-entry", "stride-bool",
-            "height-float", "document-list"])
+    ], ids=["c_in-float", "c_out-string", "kernel-floats", "kernel-negative", "kernel-zero",
+            "kernel-one-entry", "stride-bool", "height-float", "document-list"])
     def test_non_integer_network_size_reports_error(self, tmp_path, capsys, command, edit,
                                                     field):
         from pillarconv.backbone import make_pointpillars, network_to_json
@@ -522,7 +524,7 @@ class TestErrorsAndUsage:
         assert main([command, str(scene), "--network-json", str(net), "--report", str(rep)]) == 1
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith("error:") and "Traceback" not in err
-        assert field in err
+        assert field in err and "Warning" not in err
         assert not rep.exists()
 
     def test_simulate_names_the_unpriced_kernel(self, tmp_path, capsys):
@@ -550,7 +552,7 @@ class TestErrorsAndUsage:
         assert main(["verify", str(scene), "--c-out", c_out]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
-        assert "channels must be >= 1" in captured.err and captured.out == ""
+        assert "c_out must be >= 1" in captured.err and captured.out == ""
 
 
 class TestBlasThreads:

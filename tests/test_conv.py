@@ -105,9 +105,10 @@ class TestKernel:
     @pytest.mark.parametrize("c_in,c_out", [(0, 4), (4, 0), (-1, 4), (4, -1)])
     def test_channels_below_one_rejected(self, c_in, c_out):
         # seeded checks before its draw: numpy raises its own error for a negative shape
-        with pytest.raises(ShapeMismatchError, match="channels"):
+        field = "c_in" if c_in < 1 else "c_out"
+        with pytest.raises(ShapeMismatchError, match=f"{field} must be >= 1"):
             Kernel.seeded(3, 3, c_in, c_out, 1, seed=0)
-        with pytest.raises(ShapeMismatchError, match="channels"):
+        with pytest.raises(ShapeMismatchError, match=f"{field} must be >= 1"):
             Kernel(3, 3, c_in, c_out, 1, np.zeros((9, max(c_in, 0), max(c_out, 0))),
                    np.zeros(max(c_out, 0)))
 

@@ -300,14 +300,14 @@ class TestJoinPreconditions:
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_every_builder_rejects_a_non_positive_grid(self, name):
         for grid in ((0, 0), (-1, 5), (5, 0)):
-            with pytest.raises(ShapeMismatchError, match="must be positive"):
+            with pytest.raises(ShapeMismatchError, match="must be >= 1"):
                 self.build(name, [], grid=grid)
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_every_builder_rejects_a_non_integer_grid(self, name):
         # the join's book is trusted without `Rulebook`'s checks, so the door checks the type
         for grid in ((6.0, 6), (6, 6.5), (True, True)):
-            with pytest.raises(ShapeMismatchError, match="must be integers"):
+            with pytest.raises(ShapeMismatchError, match="must be an integer"):
                 self.build(name, [(0, 0)], grid=grid)
 
     @pytest.mark.parametrize("out_rc, dims, error", [
@@ -325,6 +325,16 @@ class TestJoinPreconditions:
         # `execute_rulebook` trusts a book's output set, so the book is checked when built
         with pytest.raises(error):
             Rulebook([0, 0], [0, 1], [0, 1], out_rc, *dims)
+
+    def test_coordinate_arrays_are_copied_on_entry(self):
+        # `execute_rulebook` trusts a book's output set, so a later write by the caller
+        # must reach neither it nor a selection's coords
+        out = np.array([[0, 0], [0, 1]], dtype=np.int64)
+        rb, sel = Rulebook([0, 1], [0, 0], [0, 1], out, 2, 2), Selection(out)
+        out[0] = [1, 1]
+        t = PillarTensor(2, 2, 1, [(0, 0), (0, 1)], np.ones((2, 1)))
+        assert execute_rulebook(rb, t, Kernel.identity(1)).rc.tolist() == [[0, 0], [0, 1]]
+        assert sel.rc.tolist() == [[0, 0], [0, 1]]
 
     def test_flags_of_the_wrong_shape_are_rejected(self):
         # a bool array is always flags, never coords, whatever its shape

@@ -7,6 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pillarconv.accel import AcceleratorConfig, generate_rules_pipelined
+from pillarconv.backbone import ConvMode, LayerSpec, NetworkSpec
+from pillarconv.conv import (
+    Kernel,
+    Rulebook,
+    build_rulebook_deconv2x2,
+    build_rulebook_downsample2x2,
+    build_rulebook_selective,
+    build_rulebook_sparse,
+    build_rulebook_subm,
+    dense_deconv_oracle,
+)
 from pillarconv.errors import (
     BadVectorLengthError,
     DuplicateCoordError,
@@ -14,7 +26,9 @@ from pillarconv.errors import (
     OutOfBoundsError,
     PillarConvError,
     ShapeMismatchError,
+    SpecMismatchError,
 )
+from pillarconv.scenes import SceneSpec
 from pillarconv.tensor import (
     DenseGrid,
     PillarTensor,
@@ -348,7 +362,8 @@ class TestArrayCoords:
         t = PillarTensor(2, 2, 1, rc, np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(ValueError):
             t.rc[0, 0] = 1
-        rc[0, 0] = 0  # the caller's array stays writable
+        rc[0] = [1, 1]  # the caller's array stays writable, and a write does not reach t
+        assert t.rc.tolist() == [[0, 0], [1, 1]]
 
     def test_validate_reports_the_first_fault_in_order(self):
         with pytest.raises(ShapeMismatchError, match=r"\(0, 0\) after \(1, 1\)"):
@@ -368,3 +383,81 @@ class TestArrayCoords:
         assert np.array_equal(out.features[1], np.concatenate([a.features[1], b.features[0]]))
         assert np.array_equal(out.features[0, 1:], [0.0, 0.0])
         assert np.array_equal(out.features[2, :1], [0.0])
+
+
+# -- the size rule ---------------------------------------------------------------
+
+
+def _kernel(s):
+    c_in, c_out = int(s["c_in"]), int(s["c_out"])
+    w = np.zeros((int(s["k_h"]) * int(s["k_w"]), c_in, c_out))
+    return Kernel(s["k_h"], s["k_w"], s["c_in"], s["c_out"], s["stride"], w, np.zeros(c_out))
+
+
+_K3, _K2 = Kernel.seeded(3, 3, 1, 1), Kernel.seeded(2, 2, 1, 1, 2)
+_KERNEL = dict(k_h=3, k_w=3, c_in=1, c_out=1, stride=1)
+_GRID = dict(height=2, width=2)
+
+# owner: (its error type, valid sizes, build(sizes)); a builder's sizes are its grid
+SIZE_OWNERS = {
+    "PillarTensor": (ShapeMismatchError, dict(height=2, width=2, channels=1),
+                     lambda s: PillarTensor(s["height"], s["width"], s["channels"], [],
+                                            np.ones((0, 1)))),
+    "Rulebook": (ShapeMismatchError, dict(out_height=2, out_width=2),
+                 lambda s: Rulebook([], [], [], [], s["out_height"], s["out_width"])),
+    "Kernel": (ShapeMismatchError, _KERNEL, _kernel),
+    "Kernel.seeded": (ShapeMismatchError, _KERNEL, lambda s: Kernel.seeded(**s)),
+    "AcceleratorConfig": (SpecMismatchError, dict(array_rows=4, array_cols=4, sram_kbytes=8,
+                                                  lat_align=1, lat_merge=1, lat_dilate=1,
+                                                  lat_expand=1),
+                          lambda s: AcceleratorConfig(**s)),
+    "SceneSpec": (SpecMismatchError, dict(height=4, width=4, channels=1, clusters=2, arcs=2,
+                                          seed=3),
+                  lambda s: SceneSpec(density=0.5, **s)),
+    "LayerSpec": (SpecMismatchError, _KERNEL, lambda s: LayerSpec(ConvMode.SPARSE_FULL, **s)),
+    "NetworkSpec": (SpecMismatchError, dict(height=2, width=2, channels=1),
+                    lambda s: NetworkSpec("n", stages=(), neck=(), **s)),
+    "subm": (ShapeMismatchError, _GRID,
+             lambda s: build_rulebook_subm([], _K3, (s["height"], s["width"]))),
+    "sparse": (ShapeMismatchError, _GRID,
+               lambda s: build_rulebook_sparse([], _K3, (s["height"], s["width"]))),
+    "selective": (ShapeMismatchError, _GRID,
+                  lambda s: build_rulebook_selective([], [], _K3, (s["height"], s["width"]))),
+    "down": (ShapeMismatchError, _GRID,
+             lambda s: build_rulebook_downsample2x2([], _K2, (s["height"], s["width"]))),
+    "deconv": (ShapeMismatchError, _GRID,
+               lambda s: build_rulebook_deconv2x2([], _K2, (s["height"], s["width"]))),
+    "generate_rules_pipelined": (ShapeMismatchError, _GRID,
+                                 lambda s: generate_rules_pipelined(s["height"], s["width"],
+                                                                    [], [], _K3)),
+    "dense_deconv_oracle": (ShapeMismatchError, _GRID,
+                            lambda s: dense_deconv_oracle(DenseGrid(np.ones((1, 1, 1))), _K2,
+                                                          (s["height"], s["width"]))),
+}
+MINIMUM = {"sram_kbytes": 0, "seed": 0}  # every other size is at least 1
+
+
+def _size_cases():
+    for owner, (_, sizes, _) in SIZE_OWNERS.items():
+        for field, valid in sizes.items():
+            low = MINIMUM.get(field, 1)
+            yield from (
+                pytest.param(owner, field, float(valid), f"{field} must be an integer",
+                             id=f"{owner}-{field}-float"),
+                pytest.param(owner, field, True, f"{field} must be an integer",
+                             id=f"{owner}-{field}-bool"),
+                pytest.param(owner, field, low - 1, f"{field} must be >= {low}",
+                             id=f"{owner}-{field}-below"),
+                pytest.param(owner, field, np.int32(valid), None, id=f"{owner}-{field}-numpy"),
+                pytest.param(owner, field, low, None, id=f"{owner}-{field}-minimum"),
+            )
+
+
+@pytest.mark.parametrize("owner, field, value, rejected", _size_cases())
+def test_every_size_follows_the_size_rule(owner, field, value, rejected):
+    error, sizes, build = SIZE_OWNERS[owner]
+    if rejected is None:
+        build({**sizes, field: value})
+    else:
+        with pytest.raises(error, match=rejected):
+            build({**sizes, field: value})

@@ -50,7 +50,7 @@ from .conv import (
     dense_conv_oracle,
     execute_rulebook,
 )
-from .errors import PillarConvError, SpecMismatchError
+from .errors import NonFiniteValueError, PillarConvError, SpecMismatchError
 from .importance import (
     Aggregate,
     ImportanceConfig,
@@ -107,6 +107,21 @@ def _resolve_network(args, scene: PillarTensor, t_override: float | None = None)
     if t_override is not None:
         spec = override_topk_percent(spec, t_override)
     return spec
+
+
+def _run_finite(scene: PillarTensor, spec: NetworkSpec, weights_seed: int):
+    """`run_network`, raising NonFiniteValueError if the output holds NaN or inf.
+
+    Finite inputs can still overflow float32 inside the network."""
+    res = run_network(scene, spec, weights_seed=weights_seed)
+    finite = np.isfinite(res.output.features)
+    if not finite.all():
+        i, j = divmod(int(finite.argmin()), res.output.channels)
+        raise NonFiniteValueError(
+            f"network output at {tuple(res.output.rc[i].tolist())} channel {j} is not finite: "
+            f"{res.output.features[i, j]}"
+        )
+    return res
 
 
 def _report_rows(records) -> list[dict]:
@@ -191,7 +206,7 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     scene = load_plt(args.scene)
     spec = _resolve_network(args, scene, t_override=args.t)
-    res = run_network(scene, spec, weights_seed=args.weights_seed)
+    res = _run_finite(scene, spec, args.weights_seed)
     ftotal = total_flops(res.reports)
     dense = dense_flops_of_spec(spec)
     print(f"# {FLOPS_NOTE}")
@@ -284,7 +299,7 @@ def cmd_verify(args) -> int:
 
 def _sweep_case(payload: tuple[PillarTensor, NetworkSpec, float, int]) -> tuple[float, int, int]:
     scene, spec, t_percent, weights_seed = payload
-    res = run_network(scene, override_topk_percent(spec, t_percent), weights_seed=weights_seed)
+    res = _run_finite(scene, override_topk_percent(spec, t_percent), weights_seed)
     return t_percent, total_flops(res.reports), res.output.n_active
 
 
@@ -325,7 +340,7 @@ def cmd_simulate(args) -> int:
     spec = _resolve_network(args, scene, t_override=args.t)
     cfg = AcceleratorConfig(array_rows=args.array_rows, array_cols=args.array_cols,
                             sram_kbytes=args.sram_kb)
-    res = run_network(scene, spec, weights_seed=args.weights_seed)
+    res = _run_finite(scene, spec, args.weights_seed)
     net = simulate_network(res.reports, cfg)
     print(f"# {CYCLE_NOTE}")
     print(f"{'layer':<14}{'mode':<11}{'mapping':>10}{'gemm':>12}{'stall':>9}"

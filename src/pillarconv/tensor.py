@@ -31,15 +31,20 @@ Text form (PLT v1)::
     <row> <col> <c0> <c1> ... <c{channels-1}>
     ...
 
-one line per entry, values in scientific notation with 9 significant digits
-(exact float32 round-trip). The reader rejects unsorted or duplicate
-coordinates rather than repairing them.
+one line per entry. Each feature is written as `util.fmt_float` of its
+float64 value: `{:.8e}`, nine significant digits, which round-trips every
+float32 exactly. `write_plt` produces those bytes without a Python call per
+value, through `util.float_fields`; its docstring gives the argument for why
+they are identical. The reader rejects unsorted or duplicate coordinates
+rather than repairing them, and rejects features that are NaN, inf or beyond
+the float32 range; the library itself still carries such values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -52,7 +57,7 @@ from .errors import (
     SelectionNotSubsetError,
     ShapeMismatchError,
 )
-from .util import FLOAT_FORMAT, _require_size
+from .util import _require_size, float_fields, int_fields
 
 Coord = tuple[int, int]
 
@@ -334,11 +339,29 @@ def concat_channels(tensors: Sequence[PillarTensor]) -> PillarTensor:
 PLT_MAGIC = "PLT v1"
 
 
+# feature values per chunk that `write_plt` formats and writes as one block
+_PLT_CHUNK = 1 << 16
+
+
 def write_plt(t: PillarTensor, f: TextIO) -> None:
+    """Write `t` as PLT v1: each feature is `util.fmt_float` of its float64 value.
+
+    Rows are formatted a chunk of about `_PLT_CHUNK` values at a time by
+    `util.float_fields` and `util.int_fields`, whose docstring argues that
+    the bytes equal `fmt_float`'s; NaN and +-inf are written as `nan`,
+    `inf` and `-inf`. Only one chunk's text is held at a time.
+    """
     f.write(f"{PLT_MAGIC} {t.height} {t.width} {t.channels} {t.n_active}\n")
-    row = " ".join(["{} {}"] + [FLOAT_FORMAT] * t.channels) + "\n"
-    for rc, vec in zip(t.rc.tolist(), t.features.astype(np.float64).tolist()):
-        f.write(row.format(*rc, *vec))
+    step = max(1, _PLT_CHUNK // t.channels)
+    for i in range(0, t.n_active, step):
+        rc = t.rc[i : i + step]
+        values = float_fields(t.features[i : i + step])
+        values[:, 0] = ord(" ")
+        rows = np.concatenate([
+            int_fields(rc[:, 0]), np.full((len(rc), 1), ord(" "), np.uint8), int_fields(rc[:, 1]),
+            values.reshape(len(rc), -1), np.full((len(rc), 1), ord("\n"), np.uint8),
+        ], axis=1)
+        f.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 def save_plt(t: PillarTensor, path: str) -> None:
@@ -377,9 +400,11 @@ def _parse_rows(lines: list[str], c: int) -> tuple[np.ndarray, FormatError | Non
 
 
 def read_plt(f: TextIO) -> PillarTensor:
-    """Parse PLT v1. Rejects unsorted or duplicate coordinates.
+    """Parse PLT v1. Rejects unsorted or duplicate coordinates and non-finite features.
 
-    Faults are reported for the first offending entry in file order.
+    A feature is non-finite if it is NaN or inf, or lies beyond the float32
+    range (such as 1e39). Faults are reported for the first offending entry
+    in file order.
     """
     header = f.readline()
     parts = header.split()
@@ -395,15 +420,21 @@ def read_plt(f: TextIO) -> PillarTensor:
     # numpy sizes, clips and compares with these; beyond int64 it raises raw errors
     if max(c, n) > np.iinfo(np.int64).max:
         raise FormatError(f"bad PLT header: count beyond the int64 range in {header!r}")
-    lines = f.read().split("\n")
-    n_lines = len(lines) - (lines[-1] == "")  # a final newline ends the last line
-    body, rest = lines[: min(n, n_lines)], lines[n:]
+    body = list(islice(f, n))  # the entry lines, read straight from the file
     table, parse_error = _parse_rows(body, c)
     pos = table[:, :2]
     integral = (np.isfinite(pos) & (pos == np.floor(pos))).all(axis=1)
     # off-grid and non-integer positions become -1 so the cast cannot overflow
     rc = np.where(integral[:, None], np.clip(pos, -1, max(h, w)), -1).astype(np.int64)
+    with np.errstate(over="ignore"):  # beyond the float32 range becomes inf, rejected below
+        feats = table[:, 2:].astype(FEATURE_DTYPE)
+    finite = np.isfinite(feats)
     fault = _first_fault(rc, h, w)
+    if not finite.all():
+        i, j = divmod(int(finite.argmin()), c)
+        if fault is None or i < fault[0]:
+            raise FormatError(f"PLT entry {i} has a value that is not finite in float32: "
+                              f"{body[i].split()[2 + j]!r}")
     if fault is not None:
         i, kind = fault
         if not integral[i]:
@@ -415,12 +446,12 @@ def read_plt(f: TextIO) -> PillarTensor:
         raise FormatError(f"PLT entry {i} is {kind}: {coord} after {prev}")
     if parse_error is not None:
         raise parse_error
-    if n_lines < n:
-        raise FormatError(f"PLT truncated: expected {n} entries, got {n_lines}")
-    extra = "\n".join(rest).strip()
+    if len(body) < n:
+        raise FormatError(f"PLT truncated: expected {n} entries, got {len(body)}")
+    extra = f.read().strip()
     if extra:
         raise FormatError(f"PLT has content after {n} entries: {extra[:40]!r}")
-    return PillarTensor(h, w, c, rc, table[:, 2:])
+    return PillarTensor(h, w, c, rc, feats)
 
 
 def load_plt(path: str) -> PillarTensor:

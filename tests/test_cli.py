@@ -18,6 +18,8 @@ from pillarconv.importance import pillar_importance
 from pillarconv.tensor import load_plt
 
 GOLDENS = Path(__file__).parent / "goldens"
+# constant features near the float32 maximum: finite, but they overflow inside a network
+OVERFLOWING = ("--features", "constant", "--constant-value", "3e38")
 
 
 def gen_scene(tmp_path, name="scene.plt", seed=3, density="0.15", extra=()):
@@ -29,11 +31,11 @@ def gen_scene(tmp_path, name="scene.plt", seed=3, density="0.15", extra=()):
     return path
 
 
-def put_nan_feature(path):
-    """Overwrite the first feature value of a .plt scene with nan."""
+def put_nan_feature(path, token="nan"):
+    """Overwrite the first feature value of a .plt scene with `token`."""
     lines = path.read_text().splitlines()
     row = lines[1].split()
-    lines[1] = " ".join(row[:2] + ["nan"] + row[3:])
+    lines[1] = " ".join(row[:2] + [token] + row[3:])
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -173,6 +175,17 @@ class TestVerify:
         put_nan_feature(scene)
         rc = main(["verify", str(scene), "--seed", "2"])
         assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: PLT entry 0 has a value that is not finite")
+        assert ": ok" not in captured.out
+
+    def test_overflowing_scene_fails(self, tmp_path, capsys):
+        # finite features near the float32 maximum overflow to inf in the sparse
+        # result and in the oracle alike; their difference is nan
+        scene = gen_scene(tmp_path, extra=OVERFLOWING)
+        with pytest.warns(RuntimeWarning):
+            rc = main(["verify", str(scene), "--seed", "2"])
+        assert rc == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "max|diff|=nan" in out
         assert ": ok" not in out
@@ -311,6 +324,38 @@ class TestCalibrate:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "not finite" in captured.err
         assert "theta =" not in captured.out
+
+
+class TestNonFinite:
+    """A non-finite scene value is rejected on read; a non-finite network output stops the command."""
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e39"])
+    def test_non_finite_scene_reports_error(self, tmp_path, capsys, command, token):
+        scene = gen_scene(tmp_path)
+        put_nan_feature(scene, token)
+        capsys.readouterr()
+        assert main([command, str(scene)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: PLT entry 0 has a value that is not finite in float32: '{token}'"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["run", "--out", "out.plt", "--report", "r.csv"],
+                                         ["simulate"], ["sweep", "--t", "0", "5"]])
+    def test_non_finite_network_output_reports_error(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        scene = gen_scene(tmp_path, extra=OVERFLOWING)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning):  # numpy's own, where it overflows
+            assert main([command[0], str(scene), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: network output at (")
+        assert "is not finite: nan" in err[0]
+        assert captured.out == ""
+        assert not (tmp_path / "out.plt").exists() and not (tmp_path / "r.csv").exists()
 
 
 class TestErrorsAndUsage:

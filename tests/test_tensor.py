@@ -1,6 +1,9 @@
 """Sparse pillar tensor container and PLT text format."""
 
 import io
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from pillarconv.errors import (
     ShapeMismatchError,
     SpecMismatchError,
 )
+from pillarconv import tensor
 from pillarconv.scenes import SceneSpec
 from pillarconv.tensor import (
     DenseGrid,
@@ -41,7 +45,7 @@ from pillarconv.tensor import (
     validate_coords,
     write_plt,
 )
-from pillarconv.util import fmt_float
+from pillarconv.util import FLOAT_FORMAT, fmt_float
 
 
 def make_tensor(coords, h=8, w=8, c=3, seed=0):
@@ -231,6 +235,109 @@ class TestPltFormat:
             read_plt(io.StringIO(text))
 
 
+def reference_write_plt(t: PillarTensor, f) -> None:
+    """The per-row writer `write_plt` replaced: one `str.format` call per row. The byte reference."""
+    f.write(f"PLT v1 {t.height} {t.width} {t.channels} {t.n_active}\n")
+    row = " ".join(["{} {}"] + [FLOAT_FORMAT] * t.channels) + "\n"
+    with np.errstate(invalid="ignore"):  # a signalling NaN raises the flag on conversion
+        values = t.features.astype(np.float64)
+    for rc, vec in zip(t.rc.tolist(), values.tolist()):
+        f.write(row.format(*rc, *vec))
+
+
+def plt_text(writer, t: PillarTensor) -> str:
+    buf = io.StringIO()
+    writer(t, buf)
+    return buf.getvalue()
+
+
+F32_SIGN, F32_MAX, F32_INF = 0x80000000, 0x7F7FFFFF, 0x7F800000
+POW10_BITS = [int(np.float32(10.0**k).view(np.uint32)) for k in range(-45, 39)]
+# Float32 values whose nine-digit mantissa is a rounding tie (the first four) or lies
+# within 1e-6 of one; found by an exact scan, checked by `test_near_ties_are_near_ties`.
+NEAR_TIES = (0x38800000, 0x49C8F3D9, 0x4850B9DC, 0x47C298C4, 0x14A68E96, 0x6F89CB21,
+             0x14934133, 0x716596A5, 0x370BB242, 0x059CD4C7, 0x1EBE0C4B)
+F32_MAGNITUDES = st.one_of(
+    st.sampled_from([0, 1, 0x007FFFFF, 0x00800000, F32_MAX, F32_INF,
+                     0x7FC00000, 0x7F800001, 0x7FFFFFFF]),  # quiet, signalling and full NaNs
+    st.integers(1, 0x007FFFFF),  # subnormals
+    st.builds(lambda p, d: min(max(p + d, 0), 0x7FFFFFFF),
+              st.sampled_from(POW10_BITS), st.integers(-2, 2)),  # 10**k and its neighbours
+    st.sampled_from(NEAR_TIES),
+    st.integers(0, 0x7FFFFFFF),
+)
+F32_BITS = st.builds(lambda m, negative: m | (F32_SIGN if negative else 0),
+                     F32_MAGNITUDES, st.booleans())
+
+
+class TestPltWriter:
+    """`write_plt` writes exactly the bytes of the per-row writer it replaced."""
+
+    def test_empty_tensor(self):
+        t = make_tensor([], h=3, w=4, c=5)
+        assert plt_text(write_plt, t) == plt_text(reference_write_plt, t) == "PLT v1 3 4 5 0\n"
+
+    def test_one_channel(self):
+        t = make_tensor([(r, c) for r in range(8) for c in range(0, 8, 3)], c=1)
+        assert plt_text(write_plt, t) == plt_text(reference_write_plt, t)
+
+    def test_coordinates_of_one_and_nineteen_digits(self):
+        h = 2 * 10**18  # h * 4 cells fit the int64 keys
+        rc = [(0, 0), (7, 3), (10**18, 1), (h - 1, 3)]
+        t = PillarTensor(h, 4, 2, rc, np.arange(8, dtype=np.float32).reshape(4, 2) - 3)
+        text = plt_text(write_plt, t)
+        assert text == plt_text(reference_write_plt, t)
+        assert text.splitlines()[4].startswith("1999999999999999999 3 ")
+
+    def test_near_ties_are_near_ties(self):
+        for bits in NEAR_TIES:
+            x = Fraction(float(np.uint32(bits).view(np.float32)))
+            e = len(str(int(x * 10**60))) - 61  # x * 10**-e lies in [1, 10)
+            mantissa = x * Fraction(10) ** (8 - e)
+            assert 10**8 <= mantissa < 10**9
+            assert abs(mantissa - int(mantissa) - Fraction(1, 2)) < Fraction(1, 10**6)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_float32_class_matches_the_per_row_writer(self, data):
+        c = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 12))
+        bits = data.draw(st.lists(F32_BITS, min_size=n * c, max_size=n * c))
+        feats = np.array(bits, dtype=np.uint32).view(np.float32).reshape(n, c)
+        t = PillarTensor(n + 1, 3, c, [(i, i % 3) for i in range(n)], feats)
+        chunk = data.draw(st.sampled_from([1, 5, 7, tensor._PLT_CHUNK]))
+        with mock.patch.object(tensor, "_PLT_CHUNK", chunk):
+            text = plt_text(write_plt, t)
+        assert text == plt_text(reference_write_plt, t)
+        finite = np.isfinite(feats).all(axis=1)
+        if finite.all():  # every finite feature reads back bit for bit
+            assert read_plt(io.StringIO(text)).features.tobytes() == feats.tobytes()
+        else:
+            with pytest.raises(FormatError, match=f"entry {finite.argmin()} has a value that is not"):
+                read_plt(io.StringIO(text))
+
+    def test_transient_memory_is_bounded_by_the_chunk(self):
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        rng = np.random.Generator(np.random.Philox(key=9))
+        t = PillarTensor(64, 64, 256, np.argwhere(np.ones((64, 64), dtype=bool))[:3000],
+                         rng.standard_normal((3000, 256), dtype=np.float32))
+        sink = Sink()
+        with mock.patch.object(tensor, "_PLT_CHUNK", 4096):
+            tracemalloc.start()
+            try:
+                write_plt(t, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sink.size > 11 * 2**20  # the file's text, never held at once
+        assert peak < 2**20  # ~115 bytes per value of one 4096-value chunk
+
+
 class TestPltValues:
     def test_non_numeric_value_is_a_format_error(self):
         text = "PLT v1 4 4 2 2\n0 0 1.0 2.0\n1 1 1.0 x2\n"
@@ -262,6 +369,28 @@ class TestPltValues:
         with pytest.raises(FormatError, match="entry 1 has -2 values"):
             read_plt(io.StringIO(text))
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "inf", "NaN", "1e39", "-1e39"])
+    def test_non_finite_feature_is_a_format_error(self, token):
+        text = f"PLT v1 4 4 2 3\n0 0 1.0 2.0\n1 1 1.0 {token}\n2 2 {token} 0\n"
+        with pytest.raises(FormatError, match=f"entry 1 has a value that is not finite in "
+                                              f"float32: '{token}'"):
+            read_plt(io.StringIO(text))
+
+    def test_first_of_coordinate_and_non_finite_faults_is_reported(self):
+        with pytest.raises(FormatError, match="entry 1 has a value that is not finite"):
+            read_plt(io.StringIO("PLT v1 4 4 1 3\n0 0 1.0\n1 1 nan\n9 9 1.0\n"))
+        with pytest.raises(FormatError, match="entry 1 coordinate"):
+            read_plt(io.StringIO("PLT v1 4 4 1 3\n0 0 1.0\n9 9 1.0\n1 1 nan\n"))
+        with pytest.raises(FormatError, match="entry 1 coordinate"):
+            read_plt(io.StringIO("PLT v1 4 4 1 2\n0 0 1.0\n9 9 nan\n"))
+        with pytest.raises(FormatError, match="entry 1 has a value that is not finite"):
+            read_plt(io.StringIO("PLT v1 4 4 1 3\n0 0 1.0\n1 1 inf\n2 2\n"))
+
+    def test_largest_float32_is_finite(self):
+        text = "PLT v1 1 1 2 1\n0 0 3.40282347e+38 -3.4028235e38\n"
+        big = float(np.finfo(np.float32).max)
+        assert read_plt(io.StringIO(text)).features.tolist() == [[big, -big]]
+
     def test_float32_values_round_trip_bit_for_bit(self):
         rng = np.random.Generator(np.random.Philox(key=3))
         bits = rng.integers(0, 2**32, size=(500, 6), dtype=np.uint64).astype(np.uint32)
@@ -287,8 +416,10 @@ HEADER_COUNTS = (
     | st.integers(13, 2**40)
     | st.integers(2**63, 2**70)
 )
+# numbers no feature accepts: NaN, infinities and a value beyond the float32 range
+NON_FINITE_TOKENS = ("nan", "-inf", "inf", "1e39")
 MANGLES = ("truncate", "extra", "drop_token", "dup_token", "swap", "junk", "header_count",
-           "huge_grid")
+           "huge_grid", "non_finite")
 
 
 def mangle(op: str, lines: list[str], draw) -> list[str]:
@@ -323,6 +454,8 @@ def mangle(op: str, lines: list[str], draw) -> list[str]:
         del tokens[j]
     elif op == "dup_token":
         tokens.insert(j, tokens[j])
+    elif op == "non_finite":
+        tokens[j] = draw(st.sampled_from(NON_FINITE_TOKENS))
     else:  # junk
         tokens[j] = draw(st.sampled_from(JUNK_TOKENS))
     lines[i] = " ".join(tokens)
@@ -345,6 +478,7 @@ class TestPltFuzz:
             t = read_plt(io.StringIO(text))
         except PillarConvError:
             return
+        assert np.isfinite(t.features).all()  # a non-finite feature token is a FormatError
         assert t.rc.shape == (t.n_active, 2)
         assert t.features.shape == (t.n_active, t.channels)
         validate_coords(t.height, t.width, t.rc)

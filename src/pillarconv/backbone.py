@@ -20,8 +20,9 @@ each layer along it. `run_network` returns the final tensor and one
 `LayerRecord` per layer, in plan order: the planned layer plus what running
 it found out (input coordinates, output count, flops, tuples per kernel
 offset, and for selective layers the dilation flags in input entry order).
-Reports, FLOPs totals and the cycle simulator all read these records. Layer
-weights are seeded pseudorandom (Philox) unless explicit kernels are
+Reports, FLOPs totals and the cycle simulator all read these records. A
+layer's activation is its executor's `relu` flag (`conv`'s epilogue).
+Layer weights are seeded pseudorandom (Philox) unless explicit kernels are
 supplied; biases default to zero. Seeded kernels are built once per shape
 and seed and kept, read-only, in an LRU cache of `KERNEL_CACHE_SIZE` entries.
 """
@@ -60,7 +61,7 @@ from .importance import (
     select_topk,
     selection_flags,
 )
-from .tensor import PillarTensor, _freeze, _proven, _require_grid, concat_channels, from_dense
+from .tensor import PillarTensor, _require_grid, concat_channels, from_dense
 from .util import _require_size, require_fields
 
 _T = TypeVar("_T")
@@ -325,25 +326,13 @@ def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTenso
         raise SpecMismatchError(f"kernel for {p.layer_id} does not match its spec")
     rb: Rulebook | None = None
     flags: np.ndarray | None = None
+    relu = s.activation == "relu"
     if s.mode is ConvMode.DENSE:
         grid = t.to_dense()
         if p.kind == "deconv":
-            dense = dense_deconv_oracle(grid, k, (p.out_h, p.out_w))
+            out = from_dense(dense_deconv_oracle(grid, k, (p.out_h, p.out_w), relu=relu))
         else:
-            dense = dense_conv_oracle(grid, k)
-        if s.activation == "relu":
-            # after ReLU a cell is active iff a channel is > 0 or NaN, that is
-            # iff its max (NaN if any channel is) is not <= 0; so the ReLU
-            # runs in place on the gathered cells only, never on the grid;
-            # argwhere lists the kept cells once each, in row-major order
-            keep = ~(dense.data.max(axis=2) <= 0)
-            feats = dense.data[keep]
-            np.maximum(feats, 0, out=feats)
-            out = _proven(PillarTensor, height=dense.height, width=dense.width,
-                          channels=dense.channels, rc=_freeze(np.argwhere(keep)),
-                          features=_freeze(feats))
-        else:
-            out = from_dense(dense)
+            out = from_dense(dense_conv_oracle(grid, k, relu=relu))
     else:
         if p.kind == "downsample":
             rb = build_rulebook_downsample2x2(t.rc, k, (p.in_h, p.in_w))
@@ -357,9 +346,7 @@ def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTenso
             selection = s.selection.select(pillar_importance(t, s.selection.importance))
             flags = selection_flags(t, selection)
             rb = build_rulebook_selective(t.rc, flags, k, (p.in_h, p.in_w))
-        out = execute_rulebook(rb, t, k)
-        if s.activation == "relu":
-            out = out.with_features(np.maximum(out.features, 0))
+        out = execute_rulebook(rb, t, k, relu=relu)
     return out, LayerRecord(
         p, t.rc, out.n_active,
         p.dense_flops if rb is None else flops_of_rulebook(rb, k.c_in, k.c_out),

@@ -109,6 +109,7 @@ def _resolve_network(args, scene: PillarTensor, t_override: float | None = None)
     return spec
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the check reports an overflow, not numpy
 def _run_finite(scene: PillarTensor, spec: NetworkSpec, weights_seed: int):
     """`run_network`, raising NonFiniteValueError if the output holds NaN or inf.
 
@@ -235,6 +236,7 @@ def cmd_run(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the compare, not numpy
 def _verify_case(t: PillarTensor, k: Kernel, t_percent: float, tol: float) -> tuple[bool, str]:
     bounds = (t.height, t.width)
     dense = dense_conv_oracle(t.to_dense(), k)

@@ -107,6 +107,21 @@ The sparse executor takes two shortcuts, and neither changes a bit:
   every unclipped deconvolution run and a large share of the tuples of a
   full sparse layer.
 
+One output epilogue, `_finish`, ends every executor's block or tile: the
+bias is added in the call that rounds float64 to the float32 destination
+(the one-product path keeps its p + (bias + 0.0) scatter), then with `relu`
+`np.maximum(x, 0)` runs in place on the rounded float32 values: ReLU on the
+finished output, value for value, so no byte moves (-0.0 becomes +0.0, NaN
+is kept, on contiguous and strided views alike). A dense layer keeps the
+cells with a channel != 0, after ReLU exactly those with one > 0 or NaN.
+
+Sparse equals dense, bit for bit: with c_out a multiple of `PANEL`, the
+executor's bytes are the dense oracle's at the book's outputs, in every form,
+with or without ReLU. Inactive cells hold +0.0, so their products are exact
+zeros that leave an accumulator unchanged, as padding rows do; each output
+sums its taps in the same ascending order; and GEMM rows do not depend on
+the call's row count.
+
 FLOPs convention: flops = 2 * n_tuples * c_in * c_out + n_outputs * c_out.
 Every multiply-accumulate counts as two operations and every output entry
 pays one bias add per channel, whether or not the bias is zero.
@@ -466,19 +481,23 @@ def _tile_len(row_values: int) -> int:
     return max(1, ACC_BYTES // (8 * max(1, row_values)))
 
 
-def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
-    """Run gather-multiply-scatter over the rulebook.
+def _finish(dst: np.ndarray, acc, bias, relu: bool) -> None:
+    """The output epilogue: `dst` = float32(acc + bias) unless `acc` is None, then ReLU if `relu`."""
+    if acc is not None:
+        np.add(acc, bias, out=dst)
+    if relu:
+        np.maximum(dst, 0, out=dst)
 
-    Accumulates in float64, one block of outputs at a time (see the module
-    docstring): a block runs one GEMM per offset over its slice of the
-    offset-major tuples, so every output sums its offsets in ascending
-    order, then adds bias and rounds to float32. With one product per
-    output (as many tuples as outputs, every output hit) the same GEMMs run
-    but no accumulator is kept: each product p is written straight to the
-    float32 output as p + (bias + 0.0), which equals (+0.0 + p) + bias bit
-    for bit. A segment whose inputs are consecutive entries reads them as a
-    slice rather than gathering them. Output tensor lives on the rulebook's
-    output grid.
+
+def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel, *, relu: bool = False) -> PillarTensor:
+    """Run gather-multiply-scatter over the rulebook, with ReLU on the result if `relu`.
+
+    Accumulates in float64, one block of outputs at a time, one GEMM per
+    offset over the block's slice of the offset-major tuples, so every
+    output sums its offsets in ascending order; the epilogue adds bias,
+    rounds to float32 and applies ReLU. A book with one product per output
+    keeps no accumulator, and consecutive inputs are read as a slice (see
+    the module docstring). Output tensor lives on the rulebook's output grid.
     """
     if t.channels != k.c_in:
         raise ShapeMismatchError(f"input has {t.channels} channels, kernel wants {k.c_in}")
@@ -506,7 +525,7 @@ def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
     starts, ends = starts.tolist(), ends.tolist()
     per_offset = runs.reshape(taps, n_blocks).sum(axis=1).tolist()
     # one product per output (see the module docstring): the accumulator has
-    # no rows, so a block's fill, bias pass and copy below touch nothing
+    # no rows, and a block's products are already in its output rows
     single = rb.n_tuples == n_out and np.bincount(rb.out_idx, minlength=n_out).all()
     bias0 = bias + 0.0
     out = np.empty((n_out, k.c_out), dtype=FEATURE_DTYPE)
@@ -533,8 +552,7 @@ def execute_rulebook(rb: Rulebook, t: PillarTensor, k: Kernel) -> PillarTensor:
                 out[rb.out_idx[start:end]] = p
             else:
                 a[rb.out_idx[start:end] - lo] += p
-        a += bias
-        out[lo : lo + a.shape[0]] = a
+        _finish(out[lo : lo + block], None if single else a, bias, relu)
     return _proven(PillarTensor, height=rb.out_height, width=rb.out_width,
                    channels=out.shape[1], rc=rb.output_rc, features=_freeze(out))
 
@@ -557,14 +575,15 @@ def _one_gemm(c_out: int, row_len: int) -> bool:
     return c_out % PANEL == 0 and row_len >= 2
 
 
-def dense_conv_oracle(g: DenseGrid, k: Kernel) -> DenseGrid:
+def dense_conv_oracle(g: DenseGrid, k: Kernel, *, relu: bool = False) -> DenseGrid:
     """Dense convolution with the exact conventions of the sparse builders.
 
     Stride 1: same padding, out[o] = sum_w in[o - offset(w)] @ W[w] + bias.
     Stride 2 (2x2): out[(R, C)] = sum_{dr,dc} in[(2R+dr, 2C+dc)] @ W + bias
     on a ceil(h/2) x ceil(w/2) grid. No sparsity shortcuts: every output
     position is computed, one tile of output rows at a time, with one GEMM
-    per (tile, tap) where that is exact and one per output row otherwise.
+    per (tile, tap) where that is exact and one per output row otherwise,
+    and ReLU on each finished tile if `relu`.
     """
     if g.channels != k.c_in:
         raise ShapeMismatchError(f"grid has {g.channels} channels, kernel wants {k.c_in}")
@@ -619,19 +638,20 @@ def dense_conv_oracle(g: DenseGrid, k: Kernel) -> DenseGrid:
                 prod = buf[: s1 - s0]
                 np.matmul(src[s0 + shift : s1 + shift], weights[wi], out=prod)
                 flat[s0:s1] += prod
-        np.add(tile[:, :out_w], bias, out=out[r0:r1])
+        _finish(out[r0:r1], tile[:, :out_w], bias, relu)
     return DenseGrid(out)
 
 
-def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | None = None) -> DenseGrid:
+def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | None = None,
+                        *, relu: bool = False) -> DenseGrid:
     """Dense 2x2 stride-2 transposed convolution (default output 2h x 2w).
 
     out[(2r + dr, 2c + dc)] = (+0.0 + in[(r, c)] @ W[(dr, dc)]) + bias, clipped
     to `out_bounds`; positions no input reaches hold +0.0 + bias. Runs one
     tile of input rows at a time, with one GEMM per (tile, tap) where that is
-    exact and one per input row otherwise; each result p goes straight to the
-    tile's output rows 2r + dr, columns 2c + dc (a strided view) as
-    p + (bias + 0.0), rounded once.
+    exact and one per input row otherwise; the epilogue writes each result p
+    to the tile's output rows 2r + dr, columns 2c + dc (a strided view) as
+    p + (bias + 0.0), rounded once, with ReLU if `relu`.
     """
     if g.channels != k.c_in:
         raise ShapeMismatchError(f"grid has {g.channels} channels, kernel wants {k.c_in}")
@@ -643,7 +663,7 @@ def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | N
     bias0 = k.bias.astype(np.float64) + 0.0
     out = np.empty((out_h, out_w, k.c_out), dtype=FEATURE_DTYPE)
     if out_h > 2 * g.height or out_w > 2 * g.width:
-        out[...] = bias0.astype(FEATURE_DTYPE)
+        _finish(out, 0.0, bias0, relu)
     # input rows and columns that reach the output grid
     in_h, in_w = min(g.height, (out_h + 1) // 2), min(g.width, (out_w + 1) // 2)
     rows = min(max(1, in_h), _tile_len(in_w * k.c_out))
@@ -664,5 +684,5 @@ def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | N
             for ra, rb, cols in spans:
                 prod = buf[: (rb - ra) * cols]
                 np.matmul(xs[ra:rb, :cols].reshape(-1, k.c_in), weights[wi], out=prod)
-                np.add(prod.reshape(rb - ra, cols, k.c_out)[:, :nc], bias0, out=dst[ra:rb, :nc])
+                _finish(dst[ra:rb, :nc], prod.reshape(rb - ra, cols, k.c_out)[:, :nc], bias0, relu)
     return DenseGrid(out)

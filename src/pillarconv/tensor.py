@@ -12,13 +12,13 @@ Each invariant is checked once, where a value enters the program: the
 public constructor validates both properties of caller input (`from_entries`
 sorts for you, `read_plt` checks the file first). Code that derives a map
 from values already checked builds it with `_proven` and skips the
-re-check: `with_features`, `concat_channels`, the sparse executor's output
-on a rulebook's output set, a dense layer's gathered cells and the scene
-generator. Every set operation works on linearised keys `row * width +
-col`: on one grid, key order is row-major order, so sorted unique keys are
-sorted unique coordinates. `PillarTensor.coords` is a read-only
-tuple-of-tuples view of the array, built on first use for callers that
-want Python coordinates; the convolution path never builds it.
+re-check: `from_dense`, `concat_channels`, the sparse executor's output on
+a rulebook's output set and the scene generator. Every set operation works
+on linearised keys `row * width + col`: on one grid, key order is row-major
+order, so sorted unique keys are sorted unique coordinates.
+`PillarTensor.coords` is a read-only tuple-of-tuples view of the array,
+built on first use for callers that want Python coordinates; the
+convolution path never builds it.
 
 Each size, grid and on-grid test in the package calls one rule, with its
 owner's error type: the size rule (`util._require_size`: an integer, numpy
@@ -224,17 +224,6 @@ class PillarTensor:
         """The coordinates as a tuple of (row, col) tuples."""
         return as_tuples(self.rc)
 
-    def with_features(self, features: np.ndarray) -> "PillarTensor":
-        """Same active set, new feature values (shape must match)."""
-        feats = np.ascontiguousarray(features, dtype=FEATURE_DTYPE)
-        if feats.shape != (self.n_active, self.channels):
-            raise BadVectorLengthError(
-                f"feature array shape {feats.shape} does not match "
-                f"{self.n_active} entries x {self.channels} channels"
-            )
-        return _proven(PillarTensor, height=self.height, width=self.width,
-                       channels=self.channels, rc=self.rc, features=_freeze(feats))
-
     # -- dense conversion ---------------------------------------------------
 
     def to_dense(self) -> DenseGrid:
@@ -304,9 +293,10 @@ def from_entries(
 
 
 def from_dense(grid: DenseGrid) -> PillarTensor:
-    """Active set = cells with at least one nonzero channel."""
+    """Active set = cells with at least one nonzero channel, listed by `argwhere` in row-major order."""
     mask = np.any(grid.data != 0, axis=2)
-    return PillarTensor(grid.height, grid.width, grid.channels, np.argwhere(mask), grid.data[mask])
+    return _proven(PillarTensor, height=grid.height, width=grid.width, channels=grid.channels,
+                   rc=_freeze(np.argwhere(mask)), features=_freeze(grid.data[mask]))
 
 
 def concat_channels(tensors: Sequence[PillarTensor]) -> PillarTensor:

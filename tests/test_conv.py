@@ -38,7 +38,7 @@ from pillarconv.errors import (
 )
 from pillarconv.importance import pillar_importance, select_topk
 from pillarconv.scenes import SceneSpec, generate
-from pillarconv.tensor import FEATURE_DTYPE, DenseGrid, from_entries
+from pillarconv.tensor import FEATURE_DTYPE, DenseGrid, PillarTensor, from_entries
 
 
 def scene(h, w, c, density, seed):
@@ -665,6 +665,94 @@ class TestExecution:
                                  bounds=(4, 4))
         with pytest.raises(ShapeMismatchError):
             execute_rulebook(rb, t, k)
+
+
+class TestEpilogue:
+    """`relu=True` gives the bytes of np.maximum(relu=False output, 0), on every executor path."""
+
+    @staticmethod
+    def inputs(c_out, stride):
+        # 9x7 cells at density 0.4 with a NaN entry, rows of +0.0 and -0.0, and
+        # a bias holding -0.0, +0.0 and values of both signs
+        t = scene(9, 7, 4, 0.4, seed=12)
+        feats = t.features.copy()
+        feats[0, 1] = np.nan
+        feats[2::5] = 0.0
+        feats[3::5] = -0.0
+        t = PillarTensor(9, 7, 4, t.rc, feats)
+        side = 2 if stride == 2 else 3
+        k = Kernel.seeded(side, side, 4, c_out, stride, seed=13, bias_scale=0.5)
+        bias = k.bias.copy()
+        bias[:2] = (-0.0, 0.0)
+        return t, Kernel(k.k_h, k.k_w, 4, c_out, stride, k.weights, bias)
+
+    @staticmethod
+    def assert_clamped(fused, plain):
+        assert fused.tobytes() == np.maximum(plain, 0).tobytes()
+        assert not np.signbit(fused[~np.isnan(fused)]).any()
+
+    @pytest.mark.parametrize("c_out", [3, 8])
+    @pytest.mark.parametrize("budget", [64, conv.ACC_BYTES])
+    @pytest.mark.parametrize("form", ["sparse", "subm1x1", "down", "deconv"])
+    def test_sparse_executor(self, form, budget, c_out):
+        # budget 64 holds one output per block at c_out 8: every segment has
+        # one tuple of a longer offset (the two-row rule); "subm1x1" and
+        # "deconv" (clipped) take the one-product path
+        t, k = self.inputs(c_out, 2 if form in ("down", "deconv") else 1)
+        if form == "sparse":
+            rb = build_rulebook_sparse(t.rc, k, (9, 7))
+        elif form == "subm1x1":
+            k = Kernel(1, 1, 4, c_out, 1, k.weights[4:5], k.bias)
+            rb = build_rulebook_subm(t.rc, k, bounds=(9, 7))
+        elif form == "down":
+            rb = build_rulebook_downsample2x2(t.rc, k, (9, 7))
+        else:
+            rb = build_rulebook_deconv2x2(t.rc, k, (17, 13))
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            plain = execute_rulebook(rb, t, k)
+            fused = execute_rulebook(rb, t, k, relu=True)
+        assert fused.rc.tobytes() == plain.rc.tobytes()
+        assert np.isnan(fused.features).any() and (plain.features < 0).any()
+        self.assert_clamped(fused.features, plain.features)
+
+    @pytest.mark.parametrize("c_out", [3, 8])
+    @pytest.mark.parametrize("budget", [64, conv.ACC_BYTES])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_oracle(self, stride, budget, c_out):
+        # c_out 3 makes the row calls, c_out 8 one GEMM per (tile, tap)
+        t, k = self.inputs(c_out, stride)
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            plain = dense_conv_oracle(t.to_dense(), k).data
+            fused = dense_conv_oracle(t.to_dense(), k, relu=True).data
+        assert np.isnan(fused).any() and (plain < 0).any()
+        self.assert_clamped(fused, plain)
+
+    @pytest.mark.parametrize("c_out", [3, 8])
+    @pytest.mark.parametrize("budget", [64, conv.ACC_BYTES])
+    @pytest.mark.parametrize("bounds", [(17, 13), (18, 14), (21, 15)])
+    def test_deconv_oracle(self, bounds, budget, c_out):
+        # clipped, exact, and past 2h x 2w, where the cells no input reaches
+        # hold ReLU(+0.0 + bias)
+        t, k = self.inputs(c_out, 2)
+        g = t.to_dense()
+        with mock.patch.object(conv, "ACC_BYTES", budget):
+            plain = dense_deconv_oracle(g, k, bounds).data
+            fused = dense_deconv_oracle(g, k, bounds, relu=True).data
+        assert np.isnan(fused).any() and (plain < 0).any()
+        self.assert_clamped(fused, plain)
+        if bounds == (21, 15):
+            want = np.maximum(k.bias, 0)
+            assert all(fused[r, c].tobytes() == want.tobytes() for r, c in ((20, 0), (0, 14)))
+
+    def test_relu_is_keyword_only(self):
+        t, k = self.inputs(8, 1)
+        t2, k2 = self.inputs(8, 2)
+        rb = build_rulebook_subm(t.rc, k, bounds=(9, 7))
+        for f, args in ((execute_rulebook, (rb, t, k)), (dense_conv_oracle, (t.to_dense(), k)),
+                        (dense_deconv_oracle, (t2.to_dense(), k2, None))):
+            f(*args, relu=True)
+            with pytest.raises(TypeError):
+                f(*args, True)
 
 
 class TestFlops:

@@ -8,6 +8,7 @@ tuple order shows up as a mismatch.
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from pillarconv.backbone import (
     ConvMode,
     LayerSpec,
     PlannedLayer,
+    _map_layers,
     _run_layer,
     make_pointpillars,
     run_network,
@@ -41,6 +43,7 @@ from pillarconv.conv import (
     build_rulebook_selective,
     build_rulebook_sparse,
     build_rulebook_subm,
+    dense_conv_oracle,
     execute_rulebook,
 )
 from pillarconv.errors import (
@@ -53,7 +56,14 @@ from pillarconv.errors import (
 )
 from pillarconv.importance import Selection
 from pillarconv.scenes import SceneSpec, generate
-from pillarconv.tensor import FEATURE_DTYPE, PillarTensor, concat_channels, load_plt, save_plt
+from pillarconv.tensor import (
+    FEATURE_DTYPE,
+    PillarTensor,
+    concat_channels,
+    from_dense,
+    load_plt,
+    save_plt,
+)
 from test_conv import order_revealing_kernel, order_revealing_rows
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -601,6 +611,64 @@ class TestExecution:
         assert out.features.tobytes() == execute_add_at(rb, t, k).tobytes()
 
 
+# -- sparse equals dense ---------------------------------------------------------------
+
+
+class TestSparseEqualsDense:
+    """Where c_out is a multiple of `PANEL`, sparse outputs are the dense oracle's bytes.
+
+    The argument is in the `conv` module docstring. The three stride-1
+    builders, the downsample and deconvolutions clipped by a row, a column
+    or both are drawn, with and without the epilogue's ReLU.
+    """
+
+    @SETTINGS
+    @given(grids(max_side=9), st.sampled_from(["subm", "sparse", "selective", "down", "deconv"]),
+           odd_kernels, st.sampled_from([1, 3, 8, 33]), st.sampled_from([8, 16, 24]),
+           st.integers(0, 3), st.booleans(), st.booleans(), st.integers(0, 2**31 - 1), st.data())
+    def test_bytes_equal_the_oracle_at_the_outputs(self, grid, form, kshape, c_in, c_out,
+                                                   clip, relu, revealing, seed, data):
+        h, w, active = grid
+        assert c_out % conv.PANEL == 0
+        rng = np.random.default_rng(seed)
+        n = len(active)
+        kshape = (2, 2, 2) if form in ("down", "deconv") else (*kshape, 1)
+        if revealing:
+            # each row holds one entry, big (a quarter of them) or tiny, as in
+            # `order_revealing_rows`: an output with one big product and two
+            # tiny ones changes float32 bits when its taps are summed in
+            # another order
+            feats = np.zeros((n, c_in), FEATURE_DTYPE)
+            feats[np.arange(n), rng.integers(0, c_in, n)] = np.where(
+                rng.random(n) < 0.25, 1 + 2.0**-12, 1.25 * 2.0**-54)
+            k = order_revealing_kernel(*kshape[:2], c_in, c_out, kshape[2])
+        else:
+            feats = (rng.standard_normal((n, c_in))
+                     * 10.0 ** rng.integers(-3, 4, (n, 1))).astype(FEATURE_DTYPE)
+            k = kernel(*kshape, c_in=c_in, c_out=c_out, seed=seed)
+        t = PillarTensor(h, w, c_in, active, feats)
+        if form == "subm":
+            rb = build_rulebook_subm(active, k, bounds=(h, w))
+        elif form == "sparse":
+            rb = build_rulebook_sparse(active, k, (h, w))
+        elif form == "selective":
+            selected = data.draw(st.lists(st.sampled_from(active), unique=True) if active
+                                 else st.just([]))
+            rb = build_rulebook_selective(active, selected, k, (h, w))
+        elif form == "down":
+            rb = build_rulebook_downsample2x2(active, k, (h, w))
+        else:
+            bounds = (max(1, 2 * h - clip // 2), max(1, 2 * w - clip % 2))
+            rb = build_rulebook_deconv2x2(active, k, bounds)
+        out = execute_rulebook(rb, t, k, relu=relu)
+        if form == "deconv":
+            dense = conv.dense_deconv_oracle(t.to_dense(), k, bounds, relu=relu)
+        else:
+            dense = dense_conv_oracle(t.to_dense(), k, relu=relu)
+        want = dense.data[rb.output_rc[:, 0], rb.output_rc[:, 1]]
+        assert out.features.tobytes() == want.tobytes()
+
+
 # -- the production path stays on arrays ----------------------------------------------
 
 
@@ -629,15 +697,19 @@ def test_load_run_simulate_builds_no_coordinate_tuples(tmp_path, monkeypatch, mo
 # -- each invariant checked once ------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", [None, ConvMode.SPARSE_FULL, ConvMode.SUBMANIFOLD,
-                                  ConvMode.DENSE])
-def test_run_network_rechecks_no_value_it_built(monkeypatch, mode):
+@pytest.mark.parametrize("mode,activation", [
+    (None, "relu"), (ConvMode.SPARSE_FULL, "relu"), (ConvMode.SUBMANIFOLD, "relu"),
+    (ConvMode.DENSE, "relu"), (ConvMode.SPARSE_FULL, "none"), (ConvMode.DENSE, "none"),
+])
+def test_run_network_rechecks_no_value_it_built(monkeypatch, mode, activation):
     """Every layer reads values the code built from checked ones, so nothing re-checks them."""
     t = generate(SceneSpec(height=32, width=24, channels=8, density=0.15,
                            pattern="clustered", clusters=4, spread=2.0, seed=3))
     spec = make_pointpillars(height=32, width=24, channels=8, t=10.0)
     if mode is not None:
         spec = with_body_mode(spec, mode)
+    act = lambda layer: replace(layer, activation=activation)
+    spec = _map_layers(spec, act, act)
     calls = Counter()
 
     def counted(name, f):
@@ -706,8 +778,10 @@ class TestProvenValues:
         out = execute_rulebook(build_rulebook_sparse(t.rc, k, (h, w)), t, k)
         up = kernel(2, 2, stride=2, c_in=c, c_out=c, seed=seed)
         up_out = execute_rulebook(build_rulebook_deconv2x2(t.rc, up, (2 * h, 2 * w)), t, up)
-        relu = out.with_features(np.maximum(out.features, 0))
+        relu = execute_rulebook(build_rulebook_sparse(t.rc, k, (h, w)), t, k, relu=True)
+        dense = from_dense(dense_conv_oracle(t.to_dense(), k))
         layer = PlannedLayer("d", "body", LayerSpec(ConvMode.DENSE, c, c), h, w, h, w, 1)
         gathered, _ = _run_layer(t, layer, k)
-        for u in (t, out, up_out, relu, gathered, concat_channels([t, out, relu, gathered])):
+        for u in (t, out, up_out, relu, dense, gathered,
+                  concat_channels([t, out, relu, dense, gathered])):
             assert_passes_public_checks(u)

@@ -114,18 +114,6 @@ class TestConstruction:
         t = make_tensor([(0, 0), (1, 1)], h=4, w=4)
         assert t.density() == 2 / 16
 
-    def test_with_features_keeps_active_set(self):
-        t = make_tensor([(0, 1), (2, 3)], c=2)
-        u = t.with_features(np.ones((2, 2), dtype=np.float32))
-        assert u.coords == t.coords
-        assert np.all(u.features == 1.0)
-
-    def test_with_features_rejects_the_wrong_shape(self):
-        t = make_tensor([(0, 1), (2, 3)], c=2)
-        for shape in ((2, 3), (1, 2), (4,), (2, 2, 1)):
-            with pytest.raises(BadVectorLengthError, match="does not match 2 entries x 2"):
-                t.with_features(np.ones(shape))
-
 
 class TestDenseRoundTrip:
     def test_to_dense_places_values(self):

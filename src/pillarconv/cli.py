@@ -81,15 +81,14 @@ def _default_seed() -> int:
 
 
 def _write_manifest(path: str, argv: list[str], seed: int, inputs: list[str], outputs: list[str]) -> None:
-    doc = {
+    _write_json(path, {
         "command": ["pillarconv", *argv],
         "tool_version": __version__,
         "seed": seed,
         "inputs": {p: sha256_file(p) for p in inputs},
         "outputs": {p: sha256_file(p) for p in outputs},
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _resolve_network(args, scene: PillarTensor, t_override: float | None = None) -> NetworkSpec:
@@ -154,20 +153,23 @@ def _write_csv(path: str, comments: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: str, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_report(path: str, reports, spec: NetworkSpec) -> None:
     rows = _report_rows(reports)
     ftotal = total_flops(reports)
     dense = dense_flops_of_spec(spec)
     if path.endswith(".json"):
-        doc = {
+        _write_json(path, {
             "flops_convention": FLOPS_NOTE,
             "network": spec.name,
             "layers": rows,
             "total_flops": ftotal,
             "dense_flops": dense,
             "flops_vs_dense": fmt_float(ftotal / dense),
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        })
     else:
         totals = f"network={spec.name} total_flops={ftotal} dense_flops={dense}"
         _write_csv(path, [FLOPS_NOTE, totals], rows)
@@ -299,32 +301,22 @@ def cmd_verify(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
-def _sweep_case(payload: tuple[PillarTensor, NetworkSpec, float, int]) -> tuple[float, int, int]:
-    scene, spec, t_percent, weights_seed = payload
-    res = _run_finite(scene, override_topk_percent(spec, t_percent), weights_seed)
-    return t_percent, total_flops(res.reports), res.output.n_active
-
-
 def cmd_sweep(args) -> int:
     scene = load_plt(args.scene)
     spec = _resolve_network(args, scene)
-    payloads = [(scene, spec, tv, args.weights_seed) for tv in args.t]
-    jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            results = pool.map(_sweep_case, payloads)
-    else:
-        results = [_sweep_case(p) for p in payloads]
     dense = dense_flops_of_spec(spec)
+    rows = []  # every t runs before the table prints, so a failing one prints nothing
+    for tv in args.t:
+        res = _run_finite(scene, override_topk_percent(spec, tv), args.weights_seed)
+        ftotal = total_flops(res.reports)
+        rows.append({"t": tv, "total_flops": ftotal, "flops_vs_dense": fmt_float(ftotal / dense),
+                     "active_out": res.output.n_active})
+        del res  # the next t runs without this output held
     print(f"# {FLOPS_NOTE}")
     print(f"{'t%':>7}{'total_flops':>16}{'vs_dense':>12}{'act_out':>10}")
-    rows = []
-    for tv, ftotal, act in results:
-        print(f"{tv:>7g}{ftotal:>16}{ftotal / dense:>12.4f}{act:>10}")
-        rows.append({"t": tv, "total_flops": ftotal,
-                     "flops_vs_dense": fmt_float(ftotal / dense), "active_out": act})
+    for r in rows:
+        print(f"{r['t']:>7g}{r['total_flops']:>16}{r['total_flops'] / dense:>12.4f}"
+              f"{r['active_out']:>10}")
     if args.report:
         _write_csv(args.report, [FLOPS_NOTE], rows)
         print(f"wrote {args.report}")
@@ -358,7 +350,7 @@ def cmd_simulate(args) -> int:
         doc = {"cycle_model": CYCLE_NOTE, "config": asdict(cfg), **cycles_to_dict(net)}
         doc["speedup_vs_dense"] = fmt_float(doc["speedup_vs_dense"])
         doc["ideal_flops_ratio"] = fmt_float(doc["ideal_flops_ratio"])
-        Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_json(args.report, doc)
         outputs.append(args.report)
         print(f"wrote {args.report}")
     if args.manifest:
@@ -384,15 +376,14 @@ def cmd_calibrate(args) -> int:
         by_topk = topk_count(t.n_active, args.t)
         print(f"  {path}: threshold selects {by_theta}, top-k would select {by_topk}")
     if args.out:
-        doc = {
+        _write_json(args.out, {
             "t_percent": args.t,
             "theta": fmt_float(theta),
             "measure": args.measure,
             "aggregate": args.aggregate,
             "pool_size": sum(map(len, score_sets)),
             "scenes": list(args.scenes),
-        }
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        })
         print(f"wrote {args.out}")
     return 0
 
@@ -457,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene")
     add_network_args(p, with_mode=False, with_t=False)
     p.add_argument("--t", type=float, nargs="+", default=[0, 1, 2, 5, 10, 100])
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", help="write sweep table (.csv)")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_sweep)

@@ -150,6 +150,7 @@ from .tensor import (
     PillarTensor,
     _freeze,
     _on_grid,
+    _owned,
     _proven,
     _require_grid,
     as_coords_array,
@@ -196,8 +197,8 @@ class Kernel:
 
     def __post_init__(self) -> None:
         _check_shape(self.k_h, self.k_w, self.c_in, self.c_out, self.stride)
-        w = np.ascontiguousarray(self.weights, dtype=FEATURE_DTYPE)
-        b = np.ascontiguousarray(self.bias, dtype=FEATURE_DTYPE)
+        w = _owned(self.weights, FEATURE_DTYPE)
+        b = _owned(self.bias, FEATURE_DTYPE)
         if w.shape != (self.k_h * self.k_w, self.c_in, self.c_out):
             raise ShapeMismatchError(
                 f"weights shape {w.shape}, expected "
@@ -207,8 +208,8 @@ class Kernel:
             raise ShapeMismatchError(f"bias shape {b.shape}, expected ({self.c_out},)")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise NonFiniteValueError("kernel weights and bias must be finite")
-        object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "bias", _freeze(b))
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "bias", b)
 
     @property
     def taps(self) -> int:
@@ -286,15 +287,14 @@ class Rulebook:
 
     def __post_init__(self) -> None:
         for name in ("in_idx", "w_idx", "out_idx"):
-            a = _freeze(np.ascontiguousarray(getattr(self, name), dtype=np.int64))
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _owned(getattr(self, name), np.int64))
         n = self.in_idx.size
         if self.w_idx.size != n or self.out_idx.size != n:
             raise ShapeMismatchError("rulebook arrays must have equal length")
         w, o = self.w_idx, self.out_idx
         if ((w[1:] < w[:-1]) | ((w[1:] == w[:-1]) & (o[1:] <= o[:-1]))).any():
             raise UnsortedInputError("rulebook tuples must ascend strictly in (weight, output)")
-        rc = _freeze(as_coords_array(self.output_rc).copy())
+        rc = _owned(as_coords_array(self.output_rc), np.int64)
         if n and (self.in_idx.min() < 0 or w[0] < 0 or o.min() < 0 or o.max() >= rc.shape[0]):
             raise ShapeMismatchError("rulebook indices must be non-negative, outputs in range")
         _require_grid(self.out_height, self.out_width, ShapeMismatchError,
@@ -639,7 +639,7 @@ def dense_conv_oracle(g: DenseGrid, k: Kernel, *, relu: bool = False) -> DenseGr
                 np.matmul(src[s0 + shift : s1 + shift], weights[wi], out=prod)
                 flat[s0:s1] += prod
         _finish(out[r0:r1], tile[:, :out_w], bias, relu)
-    return DenseGrid(out)
+    return _proven(DenseGrid, data=_freeze(out))
 
 
 def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | None = None,
@@ -685,4 +685,4 @@ def dense_deconv_oracle(g: DenseGrid, k: Kernel, out_bounds: tuple[int, int] | N
                 prod = buf[: (rb - ra) * cols]
                 np.matmul(xs[ra:rb, :cols].reshape(-1, k.c_in), weights[wi], out=prod)
                 _finish(dst[ra:rb, :nc], prod.reshape(rb - ra, cols, k.c_out)[:, :nc], bias0, relu)
-    return DenseGrid(out)
+    return _proven(DenseGrid, data=_freeze(out))

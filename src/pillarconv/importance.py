@@ -31,7 +31,7 @@ import numpy as np
 
 from .conv import Kernel, build_rulebook_subm
 from .errors import EmptyCalibrationPoolError, NonFiniteValueError, SpecMismatchError
-from .tensor import Coord, PillarTensor, _freeze, as_coords_array, as_tuples, selection_mask
+from .tensor import Coord, PillarTensor, _owned, as_coords_array, as_tuples, selection_mask
 
 
 class Measure(str, Enum):
@@ -63,7 +63,7 @@ class Selection:
     rc: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rc", _freeze(as_coords_array(self.rc).copy()))
+        object.__setattr__(self, "rc", _owned(as_coords_array(self.rc), np.int64))
 
     @cached_property
     def selected(self) -> frozenset[Coord]:

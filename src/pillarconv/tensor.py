@@ -13,9 +13,14 @@ public constructor validates both properties of caller input (`from_entries`
 sorts for you, `read_plt` checks the file first). Code that derives a map
 from values already checked builds it with `_proven` and skips the
 re-check: `from_dense`, `concat_channels`, the sparse executor's output on
-a rulebook's output set and the scene generator. Every set operation works
-on linearised keys `row * width + col`: on one grid, key order is row-major
-order, so sorted unique keys are sorted unique coordinates.
+a rulebook's output set and the scene generator. Every public constructor
+(`PillarTensor`, `DenseGrid`, `conv.Kernel`, `conv.Rulebook`,
+`importance.Selection`) stores a private read-only copy of each array it is
+given: the caller's array stays writeable, and no later write to it or to
+its base reaches the stored value. `_proven` takes arrays the code built and
+froze in place. Every set operation works on linearised keys
+`row * width + col`: on one grid, key order is row-major order, so sorted
+unique keys are sorted unique coordinates.
 `PillarTensor.coords` is a read-only tuple-of-tuples view of the array,
 built on first use for callers that want Python coordinates; the
 convolution path never builds it.
@@ -84,6 +89,11 @@ def _on_grid(r: np.ndarray, c: np.ndarray, height: int, width: int) -> np.ndarra
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _owned(a, dtype) -> np.ndarray:
+    """A private read-only C-contiguous copy of `a` as `dtype`: what public constructors store."""
+    return _freeze(np.array(a, dtype=dtype, order="C"))
 
 
 def _proven(cls, **fields):
@@ -159,10 +169,10 @@ class DenseGrid:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.data.ndim != 3:
-            raise ShapeMismatchError(f"dense grid must be 3-d, got shape {self.data.shape}")
-        d = np.ascontiguousarray(self.data, dtype=FEATURE_DTYPE)
-        object.__setattr__(self, "data", _freeze(d))
+        d = _owned(self.data, FEATURE_DTYPE)
+        if d.ndim != 3:
+            raise ShapeMismatchError(f"dense grid must be 3-d, got shape {d.shape}")
+        object.__setattr__(self, "data", d)
 
     @property
     def height(self) -> int:
@@ -181,8 +191,7 @@ class DenseGrid:
 class PillarTensor:
     """Sparse pillar map: sorted unique (n, 2) coords plus an (n, channels) feature array.
 
-    `rc` accepts any (row, col) collection and is stored as a read-only
-    int64 copy.
+    `rc` accepts any (row, col) collection; both arrays are stored as copies.
     """
 
     height: int
@@ -194,8 +203,8 @@ class PillarTensor:
     def __post_init__(self) -> None:
         _require_grid(self.height, self.width, ShapeMismatchError)
         _require_size("channels", self.channels, ShapeMismatchError)
-        rc = _freeze(as_coords_array(self.rc).copy())
-        feats = np.ascontiguousarray(self.features, dtype=FEATURE_DTYPE)
+        rc = _owned(as_coords_array(self.rc), np.int64)
+        feats = _owned(self.features, FEATURE_DTYPE)
         if feats.shape != (rc.shape[0], self.channels):
             raise BadVectorLengthError(
                 f"feature array shape {feats.shape} does not match "
@@ -203,7 +212,7 @@ class PillarTensor:
             )
         validate_coords(self.height, self.width, rc)
         object.__setattr__(self, "rc", rc)
-        object.__setattr__(self, "features", _freeze(feats))
+        object.__setattr__(self, "features", feats)
 
     # -- basic queries ------------------------------------------------------
 
@@ -229,7 +238,7 @@ class PillarTensor:
     def to_dense(self) -> DenseGrid:
         grid = np.zeros((self.height, self.width, self.channels), dtype=FEATURE_DTYPE)
         grid[self.rc[:, 0], self.rc[:, 1]] = self.features
-        return DenseGrid(grid)
+        return _proven(DenseGrid, data=_freeze(grid))
 
 
 def _first_fault(rc: np.ndarray, height: int, width: int) -> tuple[int, str] | None:

@@ -218,40 +218,17 @@ class TestSweep:
         assert flops == sorted(flops)
         assert flops[0] < flops[-1]
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    def test_rows_equal_the_run_totals(self, tmp_path):
         scene = gen_scene(tmp_path)
-        a = tmp_path / "serial.csv"
-        b = tmp_path / "pool.csv"
-        assert main(["sweep", str(scene), "--t", "0", "2", "--report", str(a)]) == 0
-        assert main(["sweep", str(scene), "--t", "0", "2", "--jobs", "2",
-                     "--report", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("cores, want", [(8, 3), (2, 2)])
-    def test_jobs_are_capped_by_the_t_values_and_the_cores(self, tmp_path, monkeypatch,
-                                                           cores, want):
-        import multiprocessing
-
-        sizes = []
-
-        class InlinePool:  # records its size and starts no process
-            def __init__(self, n):
-                sizes.append(n)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, f, items):
-                return [f(x) for x in items]
-
-        scene = gen_scene(tmp_path)
-        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert main(["sweep", str(scene), "--t", "0", "2", "100", "--jobs", "1000"]) == 0
-        assert sizes == [want]
+        rep = tmp_path / "sweep.csv"
+        assert main(["sweep", str(scene), "--t", "0", "2", "100", "--report", str(rep)]) == 0
+        rows = list(csv.DictReader(rep.read_text().splitlines()[1:]))
+        for row, t in zip(rows, ["0", "2", "100"], strict=True):
+            run_rep, out = tmp_path / f"run{t}.json", tmp_path / f"out{t}.plt"
+            assert main(["run", str(scene), "--t", t, "--report", str(run_rep),
+                         "--out", str(out)]) == 0
+            assert int(row["total_flops"]) == json.loads(run_rep.read_text())["total_flops"]
+            assert int(row["active_out"]) == load_plt(str(out)).n_active
 
 
 class TestSimulate:

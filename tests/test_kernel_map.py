@@ -467,22 +467,52 @@ def execute_add_at(rb, t, k):
     return acc.astype(FEATURE_DTYPE)
 
 
+def order_revealing_features(rng, n, c_in):
+    """n rows for `order_revealing_kernel` that expose the order an output sums its taps in.
+
+    Each row holds one entry, big (a quarter of them) or tiny, as in
+    `order_revealing_rows`: an output with one big product and two tiny ones
+    changes float32 bits when its taps are summed in another order.
+    """
+    feats = np.zeros((n, c_in), FEATURE_DTYPE)
+    feats[np.arange(n), rng.integers(0, c_in, n)] = np.where(
+        rng.random(n) < 0.25, 1 + 2.0**-12, 1.25 * 2.0**-54)
+    return feats
+
+
+def case_kernel(kshape, c_in, c_out, seed, revealing):
+    """A (k_h, k_w, stride) kernel: `order_revealing_kernel` if `revealing`, else seeded."""
+    k_h, k_w, stride = kshape
+    if revealing:
+        return order_revealing_kernel(k_h, k_w, c_in, c_out, stride)
+    return kernel(k_h, k_w, stride, c_in, c_out, seed)
+
+
 class TestExecution:
+    """The executor's bytes equal `execute_add_at`'s, which sums every output's taps in order.
+
+    Half of the random draws use order-revealing values, so a copy that sums
+    the taps in another order fails.
+    """
+
     @SETTINGS
     @given(grids(), st.sampled_from(["subm", "sparse", "selective", "down", "deconv"]),
-           st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
-    def test_bitwise_equal_to_add_at(self, grid, mode, c_in, c_out, seed):
+           st.integers(1, 5), st.integers(1, 5), st.booleans(), st.integers(0, 2**31 - 1))
+    def test_bitwise_equal_to_add_at(self, grid, mode, c_in, c_out, revealing, seed):
         h, w, active = grid
         rng = np.random.default_rng(seed)
-        feats = (rng.standard_normal((len(active), c_in)) * 10.0 ** rng.integers(-3, 4)).astype(
-            FEATURE_DTYPE)
+        if revealing:
+            feats = order_revealing_features(rng, len(active), c_in)
+        else:
+            feats = (rng.standard_normal((len(active), c_in))
+                     * 10.0 ** rng.integers(-3, 4)).astype(FEATURE_DTYPE)
         t = PillarTensor(h, w, c_in, active, feats)
         if mode in ("down", "deconv"):
-            k = kernel(2, 2, 2, c_in, c_out, seed)
+            k = case_kernel((2, 2, 2), c_in, c_out, seed, revealing)
             rb = (build_rulebook_downsample2x2(active, k, (h, w)) if mode == "down"
                   else build_rulebook_deconv2x2(active, k, (2 * h, 2 * w)))
         else:
-            k = kernel(3, 3, 1, c_in, c_out, seed)
+            k = case_kernel((3, 3, 1), c_in, c_out, seed, revealing)
             if mode == "subm":
                 rb = build_rulebook_subm(active, k, bounds=(h, w))
             elif mode == "sparse":
@@ -497,19 +527,22 @@ class TestExecution:
     @SETTINGS
     @given(grids(), st.sampled_from(["subm", "sparse", "selective", "down", "deconv"]),
            st.sampled_from([1, 3, 5, 16, 64]), st.sampled_from([1, 3, 8, 16, 64]),
-           st.sampled_from([8, 64, 512, 4096]), st.integers(0, 2**31 - 1))
-    def test_outputs_in_several_blocks(self, grid, mode, c_in, c_out, budget, seed):
+           st.sampled_from([8, 64, 512, 4096]), st.booleans(), st.integers(0, 2**31 - 1))
+    def test_outputs_in_several_blocks(self, grid, mode, c_in, c_out, budget, revealing, seed):
         # budgets of one to a few dozen outputs per block split every rulebook
         h, w, active = grid
         rng = np.random.default_rng(seed)
-        feats = rng.standard_normal((len(active), c_in)).astype(FEATURE_DTYPE)
+        if revealing:
+            feats = order_revealing_features(rng, len(active), c_in)
+        else:
+            feats = rng.standard_normal((len(active), c_in)).astype(FEATURE_DTYPE)
         t = PillarTensor(h, w, c_in, active, feats)
         if mode in ("down", "deconv"):
-            k = kernel(2, 2, 2, c_in, c_out, seed)
+            k = case_kernel((2, 2, 2), c_in, c_out, seed, revealing)
             rb = (build_rulebook_downsample2x2(active, k, (h, w)) if mode == "down"
                   else build_rulebook_deconv2x2(active, k, (2 * h, 2 * w)))
         else:
-            k = kernel(3, 3, 1, c_in, c_out, seed)
+            k = case_kernel((3, 3, 1), c_in, c_out, seed, revealing)
             rb = {"subm": lambda: build_rulebook_subm(active, k, bounds=(h, w)),
                   "sparse": lambda: build_rulebook_sparse(active, k, (h, w)),
                   "selective": lambda: build_rulebook_selective(active, active[1::2], k, (h, w)),
@@ -634,18 +667,11 @@ class TestSparseEqualsDense:
         n = len(active)
         kshape = (2, 2, 2) if form in ("down", "deconv") else (*kshape, 1)
         if revealing:
-            # each row holds one entry, big (a quarter of them) or tiny, as in
-            # `order_revealing_rows`: an output with one big product and two
-            # tiny ones changes float32 bits when its taps are summed in
-            # another order
-            feats = np.zeros((n, c_in), FEATURE_DTYPE)
-            feats[np.arange(n), rng.integers(0, c_in, n)] = np.where(
-                rng.random(n) < 0.25, 1 + 2.0**-12, 1.25 * 2.0**-54)
-            k = order_revealing_kernel(*kshape[:2], c_in, c_out, kshape[2])
+            feats = order_revealing_features(rng, n, c_in)
         else:
             feats = (rng.standard_normal((n, c_in))
                      * 10.0 ** rng.integers(-3, 4, (n, 1))).astype(FEATURE_DTYPE)
-            k = kernel(*kshape, c_in=c_in, c_out=c_out, seed=seed)
+        k = case_kernel(kshape, c_in, c_out, seed, revealing)
         t = PillarTensor(h, w, c_in, active, feats)
         if form == "subm":
             rb = build_rulebook_subm(active, k, bounds=(h, w))

@@ -32,6 +32,7 @@ from pillarconv.errors import (
     SpecMismatchError,
 )
 from pillarconv import tensor
+from pillarconv.importance import Selection
 from pillarconv.scenes import SceneSpec
 from pillarconv.tensor import (
     DenseGrid,
@@ -479,14 +480,6 @@ class TestArrayCoords:
         assert t.coords == tuple(map(tuple, t.rc.tolist()))
         assert np.array_equal(t.keys, t.rc[:, 0] * t.width + t.rc[:, 1])
 
-    def test_coords_array_is_read_only_and_callers_array_is_untouched(self):
-        rc = np.array([[0, 0], [1, 1]], dtype=np.int64)
-        t = PillarTensor(2, 2, 1, rc, np.zeros((2, 1), dtype=np.float32))
-        with pytest.raises(ValueError):
-            t.rc[0, 0] = 1
-        rc[0] = [1, 1]  # the caller's array stays writable, and a write does not reach t
-        assert t.rc.tolist() == [[0, 0], [1, 1]]
-
     def test_validate_reports_the_first_fault_in_order(self):
         with pytest.raises(ShapeMismatchError, match=r"\(0, 0\) after \(1, 1\)"):
             validate_coords(4, 4, ((1, 1), (0, 0), (9, 9)))
@@ -505,6 +498,46 @@ class TestArrayCoords:
         assert np.array_equal(out.features[1], np.concatenate([a.features[1], b.features[0]]))
         assert np.array_equal(out.features[0, 1:], [0.0, 0.0])
         assert np.array_equal(out.features[2, :1], [0.0])
+
+
+# -- array ownership -------------------------------------------------------------
+
+# owner: (build(arrays), the arrays it is given, by the field that stores each)
+OWNED = {
+    "PillarTensor": (lambda a: PillarTensor(2, 2, 1, a["rc"], a["features"]),
+                     lambda: dict(rc=np.array([[0, 0], [1, 1]], np.int64),
+                                  features=np.ones((2, 1), np.float32))),
+    "Rulebook": (lambda a: Rulebook(a["in_idx"], a["w_idx"], a["out_idx"], a["output_rc"], 2, 2),
+                 lambda: dict(in_idx=np.array([0, 1], np.int64), w_idx=np.zeros(2, np.int64),
+                              out_idx=np.array([0, 1], np.int64),
+                              output_rc=np.array([[0, 0], [1, 1]], np.int64))),
+    "Kernel": (lambda a: Kernel(3, 3, 1, 1, 1, a["weights"], a["bias"]),
+               lambda: dict(weights=np.ones((9, 1, 1), np.float32),
+                            bias=np.zeros(1, np.float32))),
+    "DenseGrid": (lambda a: DenseGrid(a["data"]),
+                  lambda: dict(data=np.ones((2, 2, 1), np.float32))),
+    "Selection": (lambda a: Selection(a["rc"]),
+                  lambda: dict(rc=np.array([[0, 1]], np.int64))),
+}
+
+
+@pytest.mark.parametrize("given", ["array", "view"])
+@pytest.mark.parametrize("owner, field", [(owner, field) for owner, (_, arrays) in OWNED.items()
+                                          for field in arrays()])
+def test_public_constructors_store_a_private_copy(owner, field, given):
+    # arrays already of the stored dtype and layout, which a constructor could keep as they are
+    build, arrays = OWNED[owner]
+    args = arrays()
+    base = args[field]
+    if given == "view":
+        args[field] = base.view()
+    obj = build(args)
+    stored = getattr(obj, field)
+    before = stored.tobytes()
+    assert not stored.flags.writeable
+    assert base.flags.writeable and args[field].flags.writeable
+    base.flat[0] = np.nan if base.dtype.kind == "f" else base.flat[0] + 1
+    assert getattr(obj, field).tobytes() == before
 
 
 # -- the size rule ---------------------------------------------------------------

@@ -14,7 +14,9 @@ merged-column stages each form runs: all three for 3x3 layers (the dilation
 support SPADE+ adds), row merge alone for 1x1 and 2x2 downsample layers, row
 merge and column dilation for 2x2 deconv layers. A band costs
 max(contributions x lat_align, merged columns x the slowest running stage's
-latency); bands overlap, so mapping time is the sum of band costs.
+latency); bands overlap, so mapping time is the sum of band costs. At the
+default latencies, all 1, a band never merges to more columns than it streams
+contributions, so every layer's mapping cycles equal its alignment count.
 
 GEMM time tiles each weight offset's gathered rows onto an
 array_rows x array_cols systolic array: ceil(n_w / rows) * ceil(c_out / cols)

@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -72,6 +73,10 @@ class ConvMode(str, Enum):
     SPARSE_FULL = "sparse"
     SUBMANIFOLD = "subm"
     SELECTIVE = "selective"
+
+    @classmethod
+    def _missing_(cls, value):  # ConvMode(value) of no member's value
+        raise SpecMismatchError(f"unknown mode {value!r}, have {[m.value for m in cls]}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,7 @@ class LayerSpec:
     selection: SelectionSpec | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", ConvMode(self.mode))
         for name in ("c_in", "c_out", "k_h", "k_w", "stride"):
             _require_size(name, getattr(self, name), SpecMismatchError)
         if self.activation not in ("relu", "none"):
@@ -313,6 +319,9 @@ def _seeded_kernel(k_h: int, k_w: int, c_in: int, c_out: int, stride: int, seed:
     return Kernel.seeded(k_h, k_w, c_in, c_out, stride, seed=seed)
 
 
+_kernel_shape = attrgetter("k_h", "k_w", "c_in", "c_out", "stride")  # of a Kernel or a LayerSpec
+
+
 def _layer_kernel(p: PlannedLayer, ordinal: int, weights_seed: int) -> Kernel:
     child = (weights_seed * 1_000_003 + ordinal) % (1 << 63)
     s = p.spec
@@ -320,10 +329,9 @@ def _layer_kernel(p: PlannedLayer, ordinal: int, weights_seed: int) -> Kernel:
 
 
 def _run_layer(t: PillarTensor, p: PlannedLayer, k: Kernel) -> tuple[PillarTensor, LayerRecord]:
-    """Run one planned layer on its input with kernel `k` and record what it found out."""
+    """Run one planned layer on its input with kernel `k`, which fits the layer's spec,
+    and record what it found out."""
     s = p.spec
-    if (k.k_h, k.k_w, k.c_in, k.c_out, k.stride) != (s.k_h, s.k_w, s.c_in, s.c_out, s.stride):
-        raise SpecMismatchError(f"kernel for {p.layer_id} does not match its spec")
     rb: Rulebook | None = None
     flags: np.ndarray | None = None
     relu = s.activation == "relu"
@@ -363,8 +371,9 @@ def run_network(
 ) -> NetworkResult:
     """Run a scene through a network.
 
-    `weights` may supply one kernel per planned layer (in plan order);
-    otherwise kernels are seeded from `weights_seed` and the layer ordinal.
+    `weights` may supply one kernel per planned layer (in plan order), each
+    checked against its layer before any layer runs; otherwise kernels are
+    seeded from `weights_seed` and the layer ordinal.
     """
     validate_network(spec)
     if (t.height, t.width, t.channels) != (spec.height, spec.width, spec.channels):
@@ -373,8 +382,12 @@ def run_network(
             f"spec input {(spec.height, spec.width, spec.channels)}"
         )
     plan = plan_layers(spec)
-    if weights is not None and len(weights) != len(plan):
-        raise SpecMismatchError(f"got {len(weights)} kernels for {len(plan)} layers")
+    if weights is not None:
+        if len(weights) != len(plan):
+            raise SpecMismatchError(f"got {len(weights)} kernels for {len(plan)} layers")
+        for p, k in zip(plan, weights):
+            if _kernel_shape(k) != _kernel_shape(p.spec):
+                raise SpecMismatchError(f"kernel for {p.layer_id} does not match its spec")
     records: list[LayerRecord] = []
 
     def step(x: PillarTensor, p: PlannedLayer, ordinal: int) -> PillarTensor:
@@ -404,13 +417,15 @@ def _map_layers(
     return replace(spec, stages=stages, neck=neck)
 
 
-def with_body_mode(spec: NetworkSpec, mode: ConvMode) -> NetworkSpec:
-    """Clone a spec with every body layer forced to `mode`.
+def with_body_mode(spec: NetworkSpec, mode: ConvMode | str) -> NetworkSpec:
+    """Clone a spec with every body layer forced to `mode` (a `ConvMode` or its value).
 
     DENSE also forces downsample and deconv layers dense; other modes leave
     them sparse. SELECTIVE keeps a layer's selection (`LayerSpec` supplies the
     default one).
     """
+    mode = ConvMode(mode)
+
     def body(layer: LayerSpec) -> LayerSpec:
         keep = mode is ConvMode.SELECTIVE
         return replace(layer, mode=mode, selection=layer.selection if keep else None)
@@ -472,7 +487,7 @@ def _layer_from_json(d: dict) -> LayerSpec:
             ),
         )
     return LayerSpec(
-        mode=ConvMode(d["mode"]),
+        mode=d["mode"],
         c_in=d["c_in"],
         c_out=d["c_out"],
         k_h=d["kernel"][0],
@@ -549,14 +564,13 @@ _NECK = (
 )
 
 
-def make_pointpillars(
-    height: int = 496,
-    width: int = 432,
-    channels: int = 64,
-    t: float = 2.0,
-) -> NetworkSpec:
-    """Three-stage pillar backbone with selective body layers and a 384-channel neck."""
-    sel = SelectionSpec(kind="topk", t=t)
+def make_pointpillars(height: int = 496, width: int = 432, channels: int = 64) -> NetworkSpec:
+    """Three-stage pillar backbone with selective body layers and a 384-channel neck.
+
+    Every selective layer dilates its top 2% of pillars; `override_topk_percent`
+    sets another t.
+    """
+    sel = SelectionSpec(kind="topk", t=2.0)
     stages = (
         StageSpec(_strided(channels, 64), _body(ConvMode.SELECTIVE, 64, 3, sel)),
         StageSpec(_strided(64, 128), _body(ConvMode.SELECTIVE, 128, 5, sel)),
@@ -566,24 +580,16 @@ def make_pointpillars(
 
 
 def make_centerpoint_backbone(
-    height: int = 512,
-    width: int = 512,
-    channels: int = 64,
-    t: float = 4.0,
+    height: int = 512, width: int = 512, channels: int = 64
 ) -> NetworkSpec:
-    """Same stage layout on a square grid, defaults tuned for denser scenes."""
-    spec = make_pointpillars(height, width, channels, t)
+    """Pointpillars' stage layout on a square grid, dilating the top 4% for denser scenes."""
+    spec = override_topk_percent(make_pointpillars(height, width, channels), 4.0)
     return replace(spec, name="centerpoint-backbone")
 
 
-def make_pillarnet_neck(
-    height: int = 464,
-    width: int = 464,
-    channels: int = 32,
-    t: float = 4.0,
-) -> NetworkSpec:
-    """Submanifold encoder stages feeding a selective final stage."""
-    sel = SelectionSpec(kind="topk", t=t)
+def make_pillarnet_neck(height: int = 464, width: int = 464, channels: int = 32) -> NetworkSpec:
+    """Submanifold encoder stages feeding a selective final stage that dilates the top 4%."""
+    sel = SelectionSpec(kind="topk", t=4.0)
     stages = (
         StageSpec(_strided(channels, 64), _body(ConvMode.SUBMANIFOLD, 64, 2, None)),
         StageSpec(_strided(64, 128), _body(ConvMode.SUBMANIFOLD, 128, 2, None)),

@@ -11,8 +11,10 @@ Subcommands:
   calibrate  turn a top-k percentage into an importance threshold
 
 Every command is deterministic given its arguments; the default seed comes
-from PILLARCONV_SEED when set. Commands that write files accept --manifest
-to record the exact command, seed, and input/output digests as JSON.
+from PILLARCONV_SEED when set. gen, run, sweep and simulate accept
+--manifest to record as JSON the exact command, the seed, and the sha256 of
+every file the command read (the scene, and the --network-json file when
+given) and wrote.
 """
 
 from __future__ import annotations
@@ -80,32 +82,36 @@ def _default_seed() -> int:
         raise SpecMismatchError(f"PILLARCONV_SEED must be an integer, got {value!r}") from None
 
 
-def _write_manifest(path: str, argv: list[str], seed: int, inputs: list[str], outputs: list[str]) -> None:
-    _write_json(path, {
-        "command": ["pillarconv", *argv],
+def _write_manifest(args, seed: int, outputs: list[str | None]) -> None:
+    """With --manifest, record the command, the seed, and the sha256 of the files it
+    read (every argument naming an input file) and of the `outputs` it wrote."""
+    if not args.manifest:
+        return
+    inputs = [getattr(args, name, None) for name in ("scene", "network_json")]
+    _write_json(args.manifest, {
+        "command": ["pillarconv", *args._argv],
         "tool_version": __version__,
         "seed": seed,
-        "inputs": {p: sha256_file(p) for p in inputs},
-        "outputs": {p: sha256_file(p) for p in outputs},
+        "inputs": {p: sha256_file(p) for p in inputs if p},
+        "outputs": {p: sha256_file(p) for p in outputs if p},
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     })
 
 
-def _resolve_network(args, scene: PillarTensor, t_override: float | None = None) -> NetworkSpec:
+def _load_network(args, t_override: float | None = None) -> tuple[PillarTensor, NetworkSpec]:
+    """The scene and the network to run on it: --network-json, or the --network preset
+    sized to the scene, with --mode and then `t_override` applied."""
+    scene = load_plt(args.scene)
     if args.network_json:
         spec = network_from_json(Path(args.network_json).read_text())
     else:
-        spec = preset_network(
-            args.network,
-            height=scene.height,
-            width=scene.width,
-            channels=scene.channels,
-        )
+        spec = preset_network(args.network, height=scene.height, width=scene.width,
+                              channels=scene.channels)
     if getattr(args, "mode", None):
-        spec = with_body_mode(spec, ConvMode(args.mode))
+        spec = with_body_mode(spec, args.mode)
     if t_override is not None:
         spec = override_topk_percent(spec, t_override)
-    return spec
+    return scene, spec
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the check reports an overflow, not numpy
@@ -198,8 +204,7 @@ def cmd_gen(args) -> int:
         f"{t.n_active} active ({fmt_float(t.density())}), "
         f"pattern={spec.pattern} seed={spec.seed}"
     )
-    if args.manifest:
-        _write_manifest(args.manifest, args._argv, args.seed, [], [args.out])
+    _write_manifest(args, args.seed, [args.out])
     return 0
 
 
@@ -207,8 +212,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    scene = load_plt(args.scene)
-    spec = _resolve_network(args, scene, t_override=args.t)
+    scene, spec = _load_network(args, t_override=args.t)
     res = _run_finite(scene, spec, args.weights_seed)
     ftotal = total_flops(res.reports)
     dense = dense_flops_of_spec(spec)
@@ -221,17 +225,13 @@ def cmd_run(args) -> int:
               f"{f'{p.out_h}x{p.out_w}':<12}{r.active_in:>8}{r.active_out:>8}"
               f"{r.selected:>7}{r.flops:>14}")
     print(f"total flops {ftotal}  dense flops {dense}  ratio {ftotal / dense:.4f}")
-    outputs = []
     if args.out:
         save_plt(res.output, args.out)
-        outputs.append(args.out)
         print(f"wrote {args.out}: {res.output.n_active} active, {res.output.channels} channels")
     if args.report:
         _write_report(args.report, res.reports, spec)
-        outputs.append(args.report)
         print(f"wrote {args.report}")
-    if args.manifest:
-        _write_manifest(args.manifest, args._argv, args.weights_seed, [args.scene], outputs)
+    _write_manifest(args, args.weights_seed, [args.out, args.report])
     return 0
 
 
@@ -302,8 +302,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scene = load_plt(args.scene)
-    spec = _resolve_network(args, scene)
+    scene, spec = _load_network(args)
     dense = dense_flops_of_spec(spec)
     rows = []  # every t runs before the table prints, so a failing one prints nothing
     for tv in args.t:
@@ -320,9 +319,7 @@ def cmd_sweep(args) -> int:
     if args.report:
         _write_csv(args.report, [FLOPS_NOTE], rows)
         print(f"wrote {args.report}")
-    if args.manifest:
-        _write_manifest(args.manifest, args._argv, args.weights_seed, [args.scene],
-                        [args.report] if args.report else [])
+    _write_manifest(args, args.weights_seed, [args.report])
     return 0
 
 
@@ -330,8 +327,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scene = load_plt(args.scene)
-    spec = _resolve_network(args, scene, t_override=args.t)
+    scene, spec = _load_network(args, t_override=args.t)
     cfg = AcceleratorConfig(array_rows=args.array_rows, array_cols=args.array_cols,
                             sram_kbytes=args.sram_kb)
     res = _run_finite(scene, spec, args.weights_seed)
@@ -345,16 +341,13 @@ def cmd_simulate(args) -> int:
     print(f"network: mapping {net.mapping}  gemm {net.gemm}  stall {net.stall}")
     print(f"total {net.total} cycles  dense {net.dense_total} cycles  "
           f"speedup {net.speedup:.4f}  ideal flops ratio {net.ideal_flops_ratio:.4f}")
-    outputs = []
     if args.report:
         doc = {"cycle_model": CYCLE_NOTE, "config": asdict(cfg), **cycles_to_dict(net)}
         doc["speedup_vs_dense"] = fmt_float(doc["speedup_vs_dense"])
         doc["ideal_flops_ratio"] = fmt_float(doc["ideal_flops_ratio"])
         _write_json(args.report, doc)
-        outputs.append(args.report)
         print(f"wrote {args.report}")
-    if args.manifest:
-        _write_manifest(args.manifest, args._argv, args.weights_seed, [args.scene], outputs)
+    _write_manifest(args, args.weights_seed, [args.report])
     return 0
 
 

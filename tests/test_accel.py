@@ -19,10 +19,12 @@ from pillarconv.accel import (
     stall_cycles,
 )
 from pillarconv.backbone import (
+    NETWORK_PRESETS,
     ConvMode,
     make_pointpillars,
     network_from_json,
     network_to_json,
+    preset_network,
     run_network,
     with_body_mode,
 )
@@ -224,7 +226,7 @@ class TestPipelinedMatchesBuilders:
 
 
 def small_result(mode=None, seed=0):
-    spec = make_pointpillars(height=32, width=24, channels=8, t=2.0)
+    spec = make_pointpillars(height=32, width=24, channels=8)
     if mode is not None:
         spec = with_body_mode(spec, mode)
     scene = generate(SceneSpec(height=32, width=24, channels=8, density=0.15,
@@ -312,6 +314,18 @@ class TestSimulateNetwork:
         assert net.gemm == sum(p.gemm for p in per)
         assert net.stall == sum(p.stall for p in per)
         assert net.dense_total == sum(p.dense_baseline for p in per)
+
+    @pytest.mark.parametrize("mode", [ConvMode.SELECTIVE, ConvMode.SPARSE_FULL])
+    @pytest.mark.parametrize("name", sorted(NETWORK_PRESETS))
+    def test_unit_latencies_price_mapping_at_its_alignment(self, name, mode):
+        # every latency is 1 by default and a band never merges to more columns
+        # than it streams contributions, so each band costs its contributions
+        spec = with_body_mode(preset_network(name, height=32, width=32, channels=8), mode)
+        scene = generate(SceneSpec(height=32, width=32, channels=8, density=0.15,
+                                   pattern="clustered", clusters=4, spread=2.0, seed=1))
+        net = simulate_network(run_network(scene, spec).reports)
+        assert net.layers and all(lc.mapping.cycles == lc.mapping.alignment > 0
+                                  for lc in net.layers)
 
     def test_all_dense_network_has_unit_speedup(self):
         res, _ = small_result(mode=ConvMode.DENSE)

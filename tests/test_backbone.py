@@ -1,6 +1,8 @@
 """Staged networks: planning, validation, execution, mode overrides."""
 
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +34,8 @@ from pillarconv.scenes import SceneSpec, generate
 from pillarconv.tensor import DenseGrid, from_dense, from_entries, selection_mask
 
 
-def small_spec(t=2.0, **kw):
-    return make_pointpillars(height=32, width=24, channels=8, t=t, **kw)
+def small_spec(t=2.0):
+    return override_topk_percent(make_pointpillars(height=32, width=24, channels=8), t)
 
 
 def small_scene(seed=0, density=0.15):
@@ -175,6 +177,32 @@ class TestValidation:
         with pytest.raises(SpecMismatchError, match="must be an object"):
             network_from_json(text)
 
+    @staticmethod
+    def one_stage(down, body=()):
+        return NetworkSpec("bad", 8, 8, 4, (StageSpec(down, body),), ())
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LayerSpec(mode=ConvMode.SPARSE_FULL, c_in=4, c_out=4, activation="gelu"),
+         "unknown activation 'gelu'"),
+        (lambda: validate_network(NetworkSpec("bad", 8, 8, 4, (), ())),
+         "network needs at least one stage"),
+        (lambda: validate_network(TestValidation.one_stage(
+            LayerSpec(mode=ConvMode.SPARSE_FULL, c_in=4, c_out=4, k_h=2, k_w=2, stride=2),
+            (LayerSpec(mode=ConvMode.SPARSE_FULL, c_in=4, c_out=4, stride=2),))),
+         "s1.body0 must be stride 1"),
+        (lambda: validate_network(TestValidation.one_stage(
+            LayerSpec(mode=ConvMode.SPARSE_FULL, c_in=4, c_out=4))),
+         "s1.down must be 2x2 stride-2"),
+        # 7x7 halves to 4, 2 and 1; every neck chain doubles back to 8x8
+        (lambda: validate_network(make_pointpillars(7, 7, 8)),
+         "grid 7x7 must be divisible by 8 to use a neck"),
+        (lambda: preset_network("bogus"), "unknown network preset 'bogus'"),
+    ], ids=["activation", "no-stages", "body-stride", "strided-shape", "indivisible-grid",
+            "preset"])
+    def test_error_paths(self, build, message):
+        with pytest.raises(SpecMismatchError, match=re.escape(message)):
+            build()
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("name", ["pointpillars", "centerpoint-backbone",
@@ -232,6 +260,28 @@ class TestRunNetwork:
     def test_explicit_kernels_must_cover_the_plan(self):
         with pytest.raises(SpecMismatchError):
             run_network(small_scene(), small_spec(), weights=[])
+
+    def test_explicit_kernels_are_checked_before_any_layer_runs(self, monkeypatch):
+        spec = small_spec()
+        plan = plan_layers(spec)
+        weights = [backbone._layer_kernel(p, i, 0) for i, p in enumerate(plan)]
+        weights[-1] = Kernel.seeded(2, 2, 128, 64, 2)  # neck3.up2 writes 128 channels
+        calls = []
+
+        def counted(f):
+            def call(*args, **kwargs):
+                calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return call
+
+        for name in ("execute_rulebook", "dense_conv_oracle", "dense_deconv_oracle"):
+            monkeypatch.setattr(backbone, name, counted(getattr(backbone, name)))
+        with pytest.raises(SpecMismatchError, match="kernel for neck3.up2 does not match"):
+            run_network(small_scene(), spec, weights=weights)
+        assert calls == []
+        weights[-1] = backbone._layer_kernel(plan[-1], len(plan) - 1, 0)
+        run_network(small_scene(), spec, weights=weights)  # the counters are live
+        assert calls.count("execute_rulebook") == len(plan)
 
     def test_traces_expose_simulator_counts(self):
         res = run_network(small_scene(), small_spec())
@@ -353,6 +403,21 @@ class TestOverridesAndComparison:
         plan = plan_layers(spec)
         assert all(p.spec.mode is ConvMode.DENSE for p in plan)
 
+    @pytest.mark.parametrize("mode", list(ConvMode))
+    def test_modes_given_by_value_are_conv_modes(self, mode):
+        layer = LayerSpec(mode=mode.value, c_in=4, c_out=4)
+        assert layer.mode is mode and layer == LayerSpec(mode=mode, c_in=4, c_out=4)
+        spec = with_body_mode(small_spec(), mode.value)
+        assert spec == with_body_mode(small_spec(), mode)
+        res = run_network(small_scene(), spec)
+        assert [r.plan.spec.mode for r in res.reports].count(mode) >= 13
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(SpecMismatchError, match="unknown mode 'bogus'"):
+            LayerSpec(mode="bogus", c_in=4, c_out=4)
+        with pytest.raises(SpecMismatchError, match="unknown mode 'bogus'"):
+            with_body_mode(small_spec(), "bogus")
+
     def test_with_body_mode_subm_keeps_strided_sparse(self):
         spec = with_body_mode(small_spec(), ConvMode.SUBMANIFOLD)
         for p in plan_layers(spec):
@@ -375,6 +440,16 @@ class TestOverridesAndComparison:
 
 
 class TestPresetShapes:
+    @pytest.mark.parametrize("name, t", [("pointpillars", 2.0), ("centerpoint-backbone", 4.0),
+                                         ("pillarnet-neck", 4.0)])
+    def test_t_is_set_only_by_the_override(self, name, t):
+        make = backbone.NETWORK_PRESETS[name]
+        assert list(inspect.signature(make).parameters) == ["height", "width", "channels"]
+        spec = make()
+        selective = [p.spec for p in plan_layers(spec) if p.spec.mode is ConvMode.SELECTIVE]
+        assert selective and all(layer.selection.t == t for layer in selective)
+        assert override_topk_percent(spec, t) == spec
+
     def test_pointpillars_channels(self):
         spec = make_pointpillars()
         assert spec.stages[0].downsample.c_out == 64

@@ -141,12 +141,12 @@ class TestRun:
         assert rows[0]["layer_id"] == "s1.down"
 
     def test_network_json_file(self, tmp_path):
-        from pillarconv.backbone import make_pointpillars, network_to_json
+        from pillarconv.backbone import make_pointpillars, network_to_json, override_topk_percent
 
         scene = gen_scene(tmp_path)
         net = tmp_path / "net.json"
-        net.write_text(network_to_json(
-            make_pointpillars(height=24, width=24, channels=8, t=5.0)))
+        net.write_text(network_to_json(override_topk_percent(
+            make_pointpillars(height=24, width=24, channels=8), 5.0)))
         rc = main(["run", str(scene), "--network-json", str(net)])
         assert rc == 0
 
@@ -305,6 +305,40 @@ class TestCalibrate:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "not finite" in captured.err
         assert "theta =" not in captured.out
+
+
+class TestManifest:
+    """A manifest names the sha256 of every file its command read and wrote."""
+
+    @pytest.mark.parametrize("command, outputs", [
+        (["run", "--t", "5"], {"--out": "out.plt", "--report": "run.json"}),
+        (["run"], {}),
+        (["sweep", "--t", "0", "5"], {"--report": "sweep.csv"}),
+        (["simulate", "--t", "5"], {"--report": "cycles.json"}),
+    ], ids=["run", "run-no-outputs", "sweep", "simulate"])
+    @pytest.mark.parametrize("network_json", [False, True], ids=["preset", "network-json"])
+    def test_inputs_and_outputs(self, tmp_path, command, outputs, network_json):
+        from pillarconv.backbone import make_pointpillars, network_to_json
+
+        scene = gen_scene(tmp_path)
+        args = [command[0], str(scene), *command[1:], "--weights-seed", "7"]
+        inputs = [scene]
+        if network_json:
+            net = tmp_path / "net.json"
+            net.write_text(network_to_json(make_pointpillars(height=24, width=24, channels=8)))
+            args += ["--network-json", str(net)]
+            inputs.append(net)
+        written = [tmp_path / name for name in outputs.values()]
+        for flag, path in zip(outputs, written):
+            args += [flag, str(path)]
+        man = tmp_path / "manifest.json"
+        assert main([*args, "--manifest", str(man)]) == 0
+        doc = json.loads(man.read_text())
+        assert doc["command"] == ["pillarconv", *args, "--manifest", str(man)]
+        assert doc["seed"] == 7
+        sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+        assert doc["inputs"] == {str(path): sha(path) for path in inputs}
+        assert doc["outputs"] == {str(path): sha(path) for path in written}
 
 
 class TestNonFinite:

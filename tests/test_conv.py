@@ -7,6 +7,7 @@ downsampling and o = 2*i + delta for the transposed direction.
 """
 
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from pillarconv import conv
 from pillarconv.conv import (
     Kernel,
+    Rulebook,
     build_rulebook_deconv2x2,
     build_rulebook_downsample2x2,
     build_rulebook_selective,
@@ -773,3 +775,31 @@ class TestFlops:
         k = Kernel.seeded(3, 3, 1, 1, 1, seed=0)
         rb = build_rulebook_sparse((), k, (4, 4))
         assert flops_of_rulebook(rb, 16, 16) == 0
+
+
+def _one_pillar() -> PillarTensor:
+    return PillarTensor(2, 2, 1, [(0, 0)], np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Kernel(1, 1, 2, 3, 1, np.zeros((1, 2, 3)), np.zeros(2)),
+     ShapeMismatchError, "bias shape (2,), expected (3,)"),
+    (lambda: Rulebook([0, 1], [0], [0], [(0, 0)], 1, 1),
+     ShapeMismatchError, "rulebook arrays must have equal length"),
+    (lambda: execute_rulebook(Rulebook([1], [0], [0], [(0, 0)], 2, 2), _one_pillar(),
+                              Kernel.identity(1)),
+     ShapeMismatchError, "rulebook input index out of range for this tensor"),
+    (lambda: execute_rulebook(Rulebook([0], [1], [0], [(0, 0)], 2, 2), _one_pillar(),
+                              Kernel.identity(1)),
+     ShapeMismatchError, "rulebook weight index out of range for this kernel"),
+    (lambda: dense_conv_oracle(DenseGrid(np.zeros((2, 2, 2))), Kernel.identity(1)),
+     ShapeMismatchError, "grid has 2 channels, kernel wants 1"),
+    (lambda: dense_deconv_oracle(DenseGrid(np.zeros((2, 2, 2))), Kernel.seeded(2, 2, 1, 1, 2)),
+     ShapeMismatchError, "grid has 2 channels, kernel wants 1"),
+    (lambda: dense_deconv_oracle(DenseGrid(np.zeros((2, 2, 1))), Kernel.identity(1)),
+     BadKernelShapeError, "deconv oracle needs a 2x2 stride-2 kernel"),
+], ids=["bias-shape", "rulebook-lengths", "input-index", "weight-index", "conv-oracle-channels",
+        "deconv-oracle-channels", "deconv-oracle-kernel"])
+def test_error_paths(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()

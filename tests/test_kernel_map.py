@@ -32,6 +32,7 @@ from pillarconv.backbone import (
     _map_layers,
     _run_layer,
     make_pointpillars,
+    override_topk_percent,
     run_network,
     with_body_mode,
 )
@@ -705,7 +706,7 @@ def test_load_run_simulate_builds_no_coordinate_tuples(tmp_path, monkeypatch, mo
     save_plt(generate(SceneSpec(height=32, width=24, channels=8, density=0.15,
                                 pattern="clustered", clusters=4, spread=2.0, seed=3)),
              str(path))
-    spec = make_pointpillars(height=32, width=24, channels=8, t=10.0)
+    spec = override_topk_percent(make_pointpillars(height=32, width=24, channels=8), 10.0)
     if mode is not None:
         spec = with_body_mode(spec, mode)
 
@@ -731,7 +732,7 @@ def test_run_network_rechecks_no_value_it_built(monkeypatch, mode, activation):
     """Every layer reads values the code built from checked ones, so nothing re-checks them."""
     t = generate(SceneSpec(height=32, width=24, channels=8, density=0.15,
                            pattern="clustered", clusters=4, spread=2.0, seed=3))
-    spec = make_pointpillars(height=32, width=24, channels=8, t=10.0)
+    spec = override_topk_percent(make_pointpillars(height=32, width=24, channels=8), 10.0)
     if mode is not None:
         spec = with_body_mode(spec, mode)
     act = lambda layer: replace(layer, activation=activation)

@@ -1,6 +1,7 @@
 """Sparse pillar tensor container and PLT text format."""
 
 import io
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -616,3 +617,17 @@ def test_every_size_follows_the_size_rule(owner, field, value, rejected):
     else:
         with pytest.raises(error, match=rejected):
             build({**sizes, field: value})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PillarTensor(2, 2, 1, [(0, 0, 0)], np.ones((1, 1))),
+     ShapeMismatchError, "coords must be (n, 2), got (1, 3)"),
+    (lambda: DenseGrid(np.zeros((2, 2))),
+     ShapeMismatchError, "dense grid must be 3-d, got shape (2, 2)"),
+    (lambda: PillarTensor(2, 2, 1, [(0, 0)], np.ones((1, 2))),
+     BadVectorLengthError, "feature array shape (1, 2) does not match 1 entries x 1 channels"),
+    (lambda: concat_channels([]), ShapeMismatchError, "concat_channels needs at least one tensor"),
+], ids=["coords-shape", "dense-ndim", "feature-shape", "concat-nothing"])
+def test_error_paths(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
